@@ -541,6 +541,10 @@ class ChainHomologySolver:
     def class_of(self, z: Chain):
         return self._solver.class_of(self._vec(z))
 
+    def projected_class_of(self, x: Chain):
+        """Class of x projected onto the cycles (see HomologySolver)."""
+        return self._solver.projected_class_of(self._vec(x))
+
     def rep_of(self, elt) -> Chain:
         return self._chain(self._solver.rep_of(elt), self._basis, self.k)
 

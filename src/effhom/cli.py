@@ -63,6 +63,8 @@ def _parse_sset_document(doc) -> FinSSet:
             dims[name] = d
     faces = {}
     table = doc.get("faces", {})
+    if not isinstance(table, dict):
+        raise InputError("'faces' must map cell names to face lists")
     for name, dim in dims.items():
         if dim == 0:
             continue
@@ -146,6 +148,8 @@ def _emit(args, human_lines, payload):
 
 
 def cmd_homology(args) -> int:
+    if args.max_dim is not None and args.max_dim < 0:
+        raise InputError("--max-dim must be at least 0")
     X = parse_input(args.file)
     d = args.max_dim if args.max_dim is not None else X.top_dim
     groups = homology_groups(normalized_chains(X), d)
@@ -156,6 +160,13 @@ def cmd_homology(args) -> int:
     return 0
 
 
+def _check_tower_args(args):
+    if args.k < 2:
+        raise InputError("--k must be at least 2")
+    if args.degree_cap is not None and args.degree_cap < args.k + 2:
+        raise InputError("--degree-cap must be at least k + 2")
+
+
 def _equip_file(args):
     X = parse_input(args.file)
     return trivial_equipment(X, normalized_chains(X, name=f"C({args.file})"))
@@ -163,8 +174,7 @@ def _equip_file(args):
 
 def cmd_pi(args) -> int:
     from .postnikov import build_tower
-    if args.k < 2:
-        raise InputError("--k must be at least 2")
+    _check_tower_args(args)
     if not args.assume_simply_connected:
         print("warning: results are only meaningful for simply connected "
               "input; only H_1 = 0 is verified", file=sys.stderr)
@@ -207,8 +217,7 @@ def _find_simplex(X: FinSSet, token: str):
 
 def cmd_postnikov(args) -> int:
     from .postnikov import build_tower, evaluate_k_invariant, evaluate_phi
-    if args.k < 2:
-        raise InputError("--k must be at least 2")
+    _check_tower_args(args)
     Y = _equip_file(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 from .abgroup import AbGroup
 from .bar import pullback_fibration
-from .chains import (Chain, Cochain, Tag, complex_homology, diff_matrix,
+from .chains import (Chain, Cochain, Tag, complex_homology,
                      induced_chain_map, mapping_cone, normalized_chains)
 from .em import (EMSpace, cochain_to_map, delta_map, pseudo_section_psi,
                  em_equivalence)
 from .reduction import Equipped, cone_equipment, trivial_equipment
 from .simplicial import SMap, Simplex, from_facets, nondeg
-from .smith import IntMatrix, kernel_basis_and_complement, smith_normal_form
 
 
 @dataclass
@@ -73,29 +72,6 @@ def _constant_map(X, P0) -> SMap:
     return SMap(X, P0, on_base, name="const")
 
 
-def _kernel_projector(d: IntMatrix):
-    """Project degree-(i+1) vectors onto ker(d) along a fixed complement."""
-    kernel, complement = kernel_basis_and_complement(d)
-    cols = kernel + complement
-    n = d.cols
-    W = IntMatrix(n, n, {(i, j): v[i]
-                         for j, v in enumerate(cols)
-                         for i in range(n) if v[i]})
-    s = smith_normal_form(W)           # W unimodular, so D = identity
-    z = len(kernel)
-
-    def project(vec):
-        y = s.V.apply(s.U.apply(vec))
-        out = [0] * n
-        for t in range(z):
-            if y[t]:
-                for i in range(n):
-                    out[i] += y[t] * kernel[t][i]
-        return out
-
-    return project
-
-
 def _build_stage(tower: PostnikovTower, i: int,
                  P_prev: Equipped, phi_prev: SMap) -> StageData:
     Y = tower.Y
@@ -105,16 +81,9 @@ def _build_stage(tower: PostnikovTower, i: int,
 
     solver = complex_homology(EC, i + 1)
     pi = solver.group
-    project = _kernel_projector(diff_matrix(EC, i + 1))
     basis = EC.basis(i + 1)
-    index = {cell: j for j, cell in enumerate(basis)}
-
-    def rho_chain(z: Chain):
-        vec = [0] * len(basis)
-        for cell, c in z.items():
-            vec[index[cell]] = c
-        proj = project(vec)
-        return solver.class_of(Chain(i + 1, list(zip(basis, proj))))
+    # rho: class of the projection onto the cycles along the Smith complement
+    rho_chain = solver.projected_class_of
 
     def rho_f(z: Chain):
         return rho_chain(eqM.push(z))

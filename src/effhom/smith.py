@@ -1,5 +1,13 @@
 """Exact integer linear algebra: Smith normal form and homology solvers.
 
+An `IntMatrix` stores only its nonzero entries and never changes after
+construction, so the column index `apply` builds on first use stays valid.
+`smith_normal_form` eliminates over sparse rows plus column supports, with
+U, V^-1 held by rows and U^-1, V by columns.  Its pivot rule (minimal
+|value|, first in row-major order), order of operations and divisibility
+fold are those of a dense elimination, so all five matrices it returns are
+the dense ones entry for entry (the tests keep a dense reference).
+
 Everything here is deterministic: the same input matrix always produces the
 same transforms, so repeated homology computations fix the same isomorphism
 H_k -> Z^r + Z/m_1 + ... (the Postnikov engine depends on that).
@@ -13,18 +21,19 @@ from .abgroup import AbGroup
 
 
 class IntMatrix:
-    """Sparse integer matrix with explicit shape.
+    """Sparse integer matrix with explicit shape, immutable once built.
 
-    Entries are stored in a dict (i, j) -> nonzero int.  Dense row lists are
-    produced on demand for elimination-style algorithms.
+    Entries are stored in a dict (i, j) -> nonzero int.  A by-column index
+    for matrix-vector products is built on first use.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_by_col")
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
         self.cols = cols
         self.entries = {}
+        self._by_col = None
         if entries:
             for (i, j), v in entries.items():
                 if v:
@@ -88,18 +97,31 @@ class IntMatrix:
                     out[(i, k)] = s
         return IntMatrix(self.rows, other.cols, out)
 
+    def _columns(self):
+        """column j -> [(i, value), ...] over the nonzero entries."""
+        if self._by_col is None:
+            self._by_col = {}
+            for (i, j), v in self.entries.items():
+                self._by_col.setdefault(j, []).append((i, v))
+        return self._by_col
+
     def apply(self, vec):
         """Matrix-vector product over int tuples/lists."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [0] * self.rows
-        for (i, j), v in self.entries.items():
-            if vec[j]:
-                out[i] += v * vec[j]
+        by_col = self._columns()
+        for j, x in enumerate(vec):
+            if x:
+                for i, v in by_col.get(j, ()):
+                    out[i] += v * x
         return out
 
     def column(self, j):
-        return [self.get(i, j) for i in range(self.rows)]
+        out = [0] * self.rows
+        for i, v in self._columns().get(j, ()):
+            out[i] = v
+        return out
 
     def is_zero(self):
         return not self.entries
@@ -109,7 +131,7 @@ class IntMatrix:
                 and self.cols == other.cols and self.entries == other.entries)
 
     def __hash__(self):
-        raise TypeError("IntMatrix is mutable-ish; not hashable")
+        raise TypeError("IntMatrix is not hashable")
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
@@ -143,72 +165,78 @@ def smith_normal_form(A: IntMatrix) -> SNF:
     matrix sizes arising here and makes the output deterministic.
     """
     m, n = A.rows, A.cols
-    M = A.to_rows()
-    U = IntMatrix.identity(m).to_rows()
-    Ui = IntMatrix.identity(m).to_rows()
-    V = IntMatrix.identity(n).to_rows()
-    Vi = IntMatrix.identity(n).to_rows()
+    M = [{} for _ in range(m)]          # row i of M: column -> value
+    support = [set() for _ in range(n)]  # column j of M: rows holding j
+    for (i, j), v in A.entries.items():
+        M[i][j] = v
+        support[j].add(i)
+    U = [{i: 1} for i in range(m)]       # rows of U
+    Ui = [{i: 1} for i in range(m)]      # columns of U^-1
+    V = [{j: 1} for j in range(n)]       # columns of V
+    Vi = [{j: 1} for j in range(n)]      # rows of V^-1
 
     # Row op on M and U: row_i -= q * row_s   <=>   Uinv: col_s += q * col_i.
     def row_sub(i, s, q):
-        Mi, Ms = M[i], M[s]
-        for j in range(n):
-            Mi[j] -= q * Ms[j]
-        Uii, Us = U[i], U[s]
-        for j in range(m):
-            Uii[j] -= q * Us[j]
-        for r in range(m):
-            Ui[r][s] += q * Ui[r][i]
+        _axpy(M[i], M[s], -q)
+        for j in M[s]:
+            if j in M[i]:
+                support[j].add(i)
+            else:
+                support[j].discard(i)
+        _axpy(U[i], U[s], -q)
+        _axpy(Ui[s], Ui[i], q)
 
     def col_sub(j, s, q):
-        for r in range(m):
-            M[r][j] -= q * M[r][s]
-        for r in range(n):
-            V[r][j] -= q * V[r][s]
-        Vs = Vi[s]
-        Vj = Vi[j]
-        for c in range(n):
-            Vs[c] += q * Vj[c]
+        for r in support[s]:
+            Mr = M[r]
+            w = Mr.get(j, 0) - q * Mr[s]
+            if w:
+                Mr[j] = w
+                support[j].add(r)
+            else:
+                del Mr[j]
+                support[j].discard(r)
+        _axpy(V[j], V[s], -q)
+        _axpy(Vi[s], Vi[j], q)
 
     def row_swap(i, s):
+        for j in M[i].keys() ^ M[s].keys():
+            support[j] ^= {i, s}
         M[i], M[s] = M[s], M[i]
         U[i], U[s] = U[s], U[i]
-        for r in range(m):
-            Ui[r][i], Ui[r][s] = Ui[r][s], Ui[r][i]
+        Ui[i], Ui[s] = Ui[s], Ui[i]
 
     def col_swap(j, s):
-        for r in range(m):
-            M[r][j], M[r][s] = M[r][s], M[r][j]
-        for r in range(n):
-            V[r][j], V[r][s] = V[r][s], V[r][j]
+        for r in support[j] | support[s]:
+            a, b = M[r].pop(j, 0), M[r].pop(s, 0)
+            if a:
+                M[r][s] = a
+            if b:
+                M[r][j] = b
+        support[j], support[s] = support[s], support[j]
+        V[j], V[s] = V[s], V[j]
         Vi[j], Vi[s] = Vi[s], Vi[j]
 
     def row_negate(i):
-        for j in range(n):
-            M[i][j] = -M[i][j]
-        for j in range(m):
-            U[i][j] = -U[i][j]
-        for r in range(m):
-            Ui[r][i] = -Ui[r][i]
+        for vec in (M[i], U[i], Ui[i]):
+            for j in vec:
+                vec[j] = -vec[j]
 
+    # Rows and columns before t are finished: outside the diagonal they
+    # stay zero, so every search below looks at rows and columns >= t only.
     t = 0
     while True:
         # locate pivot: min |value| over the trailing block
         pivot = None
         best = None
         for i in range(t, m):
-            Mi = M[i]
-            for j in range(t, n):
-                v = Mi[j]
-                if v:
-                    a = abs(v)
-                    if best is None or a < best:
-                        best = a
-                        pivot = (i, j)
-                        if a == 1:
-                            break
-            if best == 1:
-                break
+            if M[i]:
+                a, j = min((abs(v), j) for j, v in M[i].items())
+                if best is None or a < best:
+                    best = a
+                    pivot = (i, j)
+                    if a == 1:
+                        break
         if pivot is None:
             break
         i, j = pivot
@@ -220,63 +248,48 @@ def smith_normal_form(A: IntMatrix) -> SNF:
             row_negate(t)
 
         # clear row and column t; restart pivot search if residues pop up
+        d = M[t][t]
         dirty = False
-        for i in range(t + 1, m):
-            if M[i][t]:
-                q = M[i][t] // M[t][t]
-                row_sub(i, t, q)
-                if M[i][t]:
+        for i in sorted(support[t]):
+            if i > t:
+                row_sub(i, t, M[i][t] // d)
+                if t in M[i]:
                     dirty = True
-        for j in range(t + 1, n):
-            if M[t][j]:
-                q = M[t][j] // M[t][t]
-                col_sub(j, t, q)
-                if M[t][j]:
+        for j in sorted(M[t]):
+            if j > t:
+                col_sub(j, t, M[t][j] // d)
+                if j in M[t]:
                     dirty = True
         if dirty:
             continue
 
         # enforce divisibility of the remaining block by the pivot
-        d = M[t][t]
-        bad = None
-        for i in range(t + 1, m):
-            Mi = M[i]
-            for j in range(t + 1, n):
-                if Mi[j] % d:
-                    bad = i
-                    break
+        if d != 1:
+            bad = next((i for i in range(t + 1, m)
+                        if any(v % d for v in M[i].values())), None)
             if bad is not None:
-                break
-        if bad is not None:
-            # fold the offending row into row t and re-eliminate
-            row_sub(t, bad, -1)
-            continue
+                # fold the offending row into row t and re-eliminate
+                row_sub(t, bad, -1)
+                continue
         t += 1
 
-    D = IntMatrix.from_rows(M, cols=n)
-    return SNF(D=D,
-               U=IntMatrix.from_rows(U, cols=m),
-               Uinv=IntMatrix.from_rows(Ui, cols=m),
-               V=IntMatrix.from_rows(V, cols=n),
-               Vinv=IntMatrix.from_rows(Vi, cols=n))
+    def by_rows(vecs, cols):
+        return IntMatrix(len(vecs), cols, {
+            (i, j): v for i, vec in enumerate(vecs) for j, v in vec.items()})
+
+    return SNF(D=by_rows(M, n), U=by_rows(U, m),
+               Uinv=by_rows(Ui, m).transpose(),
+               V=by_rows(V, n).transpose(), Vinv=by_rows(Vi, n))
 
 
-def kernel_basis_and_complement(d: IntMatrix):
-    """Integer basis of ker(d), extended unimodularly to the full module.
-
-    Returns (kernel_vectors, complement_vectors); stacking them in that
-    order gives a square matrix of determinant +-1.
-    """
-    s = smith_normal_form(d)
-    diag = s.diagonal
-    kernel, complement = [], []
-    for j in range(d.cols):
-        v = tuple(s.V.get(i, j) for i in range(d.cols))
-        if j < len(diag) and diag[j] != 0:
-            complement.append(v)
+def _axpy(dst, src, q):
+    """dst += q * src on sparse vectors, dropping entries that cancel."""
+    for k, v in src.items():
+        w = dst.get(k, 0) + q * v
+        if w:
+            dst[k] = w
         else:
-            kernel.append(v)
-    return kernel, complement
+            del dst[k]
 
 
 class HomologySolver:
@@ -293,21 +306,19 @@ class HomologySolver:
             raise ValueError("d_k . d_{k+1} != 0")
         self.n = d_k.cols
         self._snf1 = smith_normal_form(d_k)
-        diag1 = self._snf1.diagonal
-        self._ker_pos = [j for j in range(self.n)
-                         if j >= len(diag1) or diag1[j] == 0]
-        z = len(self._ker_pos)
+        # nonzero pivots come first: ker d_k is spanned by the columns of V
+        # from r on, and V^-1 x of a cycle is r zeros, then kernel coordinates
+        self._r = r = self._snf1.rank
+        z = self.n - r
 
         # express the image of d_{k+1} in kernel coordinates
-        b_rows = [[0] * d_k1.cols for _ in range(z)]
+        b_entries = {}
         for c in range(d_k1.cols):
             y = self._snf1.Vinv.apply(d_k1.column(c))
-            for j in range(self.n):
-                if j not in self._ker_pos and y[j]:
-                    raise ValueError("image of d_{k+1} is not contained in ker d_k")
-            for r, j in enumerate(self._ker_pos):
-                b_rows[r][c] = y[j]
-        self._B = IntMatrix.from_rows(b_rows, cols=d_k1.cols)
+            if any(y[:r]):
+                raise ValueError("image of d_{k+1} is not contained in ker d_k")
+            b_entries.update(((i, c), v) for i, v in enumerate(y[r:]))
+        self._B = IntMatrix(z, d_k1.cols, b_entries)
         self._snf2 = smith_normal_form(self._B)
         diag2 = self._snf2.diagonal
 
@@ -330,32 +341,38 @@ class HomologySolver:
     def _kernel_coords(self, x):
         """cycle vector -> coordinates in the kernel basis (checked)."""
         y = self._snf1.Vinv.apply(x)
-        for j in range(self.n):
-            if j not in self._ker_pos and y[j]:
-                raise ValueError("vector is not a cycle")
-        return [y[j] for j in self._ker_pos]
+        if any(y[:self._r]):
+            raise ValueError("vector is not a cycle")
+        return y[self._r:]
 
-    def class_of(self, x):
-        """Homology class of a cycle, as an element tuple of self.group."""
-        w = self._snf2.U.apply(self._kernel_coords(x))
+    def _class(self, kernel_coords):
+        w = self._snf2.U.apply(kernel_coords)
         elt = [w[i] for i in self._free_idx] + \
               [w[i] % d for i, d in self._tor_idx]
         return self.group.reduce(elt)
 
+    def class_of(self, x):
+        """Homology class of a cycle, as an element tuple of self.group."""
+        return self._class(self._kernel_coords(x))
+
+    def projected_class_of(self, x):
+        """Class of the projection of any vector x onto ker d_k.
+
+        The projection runs along the span of the columns of V with a
+        nonzero pivot; in kernel coordinates it is V^-1 x without its
+        first r entries.  On cycles this agrees with `class_of`.
+        """
+        return self._class(self._snf1.Vinv.apply(x)[self._r:])
+
     def rep_of(self, elt):
         """A representing cycle (coordinate vector) for a group element."""
         elt = self.group.reduce(elt)
-        z = len(self._ker_pos)
-        w = [0] * z
+        w = [0] * (self.n - self._r)
         for pos, i in enumerate(self._free_idx):
             w[i] = elt[pos]
         for pos, (i, _d) in enumerate(self._tor_idx):
             w[i] = elt[len(self._free_idx) + pos]
-        yk = self._snf2.Uinv.apply(w)
-        x = [0] * self.n
-        for r, j in enumerate(self._ker_pos):
-            x[j] = yk[r]
-        return self._snf1.V.apply(x)
+        return self._snf1.V.apply([0] * self._r + self._snf2.Uinv.apply(w))
 
     def boundary_witness(self, x):
         """Solve d_{k+1}(w) = x for a null-homologous cycle x."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import effhom.cli
 from effhom.chains import Chain
 from effhom.simplicial import from_facets
+from effhom.smith import SNF, IntMatrix
 
 # minimal 6-vertex triangulation of the real projective plane
 RP2_FACETS = [
@@ -103,3 +104,131 @@ def assert_chain_map(m, max_deg, seed=0, samples=10):
             x = random_chain(m.source, k, rng)
             diff = m(m.source.diff(x)) - m.target.diff(m(x))
             assert diff.is_zero(), f"not a chain map at degree {k}: {diff!r}"
+
+
+def dense_smith_normal_form(A: IntMatrix) -> SNF:
+    """Dense reference for `effhom.smith.smith_normal_form`.
+
+    Diagonalize A over Z, tracking all four transforms.
+
+    Pivoting picks the nonzero entry of minimal absolute value (first in
+    row-major order on ties), which keeps coefficient growth tame at the
+    matrix sizes arising here and makes the output deterministic.
+    """
+    m, n = A.rows, A.cols
+    M = A.to_rows()
+    U = IntMatrix.identity(m).to_rows()
+    Ui = IntMatrix.identity(m).to_rows()
+    V = IntMatrix.identity(n).to_rows()
+    Vi = IntMatrix.identity(n).to_rows()
+
+    # Row op on M and U: row_i -= q * row_s   <=>   Uinv: col_s += q * col_i.
+    def row_sub(i, s, q):
+        Mi, Ms = M[i], M[s]
+        for j in range(n):
+            Mi[j] -= q * Ms[j]
+        Uii, Us = U[i], U[s]
+        for j in range(m):
+            Uii[j] -= q * Us[j]
+        for r in range(m):
+            Ui[r][s] += q * Ui[r][i]
+
+    def col_sub(j, s, q):
+        for r in range(m):
+            M[r][j] -= q * M[r][s]
+        for r in range(n):
+            V[r][j] -= q * V[r][s]
+        Vs = Vi[s]
+        Vj = Vi[j]
+        for c in range(n):
+            Vs[c] += q * Vj[c]
+
+    def row_swap(i, s):
+        M[i], M[s] = M[s], M[i]
+        U[i], U[s] = U[s], U[i]
+        for r in range(m):
+            Ui[r][i], Ui[r][s] = Ui[r][s], Ui[r][i]
+
+    def col_swap(j, s):
+        for r in range(m):
+            M[r][j], M[r][s] = M[r][s], M[r][j]
+        for r in range(n):
+            V[r][j], V[r][s] = V[r][s], V[r][j]
+        Vi[j], Vi[s] = Vi[s], Vi[j]
+
+    def row_negate(i):
+        for j in range(n):
+            M[i][j] = -M[i][j]
+        for j in range(m):
+            U[i][j] = -U[i][j]
+        for r in range(m):
+            Ui[r][i] = -Ui[r][i]
+
+    t = 0
+    while True:
+        # locate pivot: min |value| over the trailing block
+        pivot = None
+        best = None
+        for i in range(t, m):
+            Mi = M[i]
+            for j in range(t, n):
+                v = Mi[j]
+                if v:
+                    a = abs(v)
+                    if best is None or a < best:
+                        best = a
+                        pivot = (i, j)
+                        if a == 1:
+                            break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != t:
+            row_swap(i, t)
+        if j != t:
+            col_swap(j, t)
+        if M[t][t] < 0:
+            row_negate(t)
+
+        # clear row and column t; restart pivot search if residues pop up
+        dirty = False
+        for i in range(t + 1, m):
+            if M[i][t]:
+                q = M[i][t] // M[t][t]
+                row_sub(i, t, q)
+                if M[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if M[t][j]:
+                q = M[t][j] // M[t][t]
+                col_sub(j, t, q)
+                if M[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+
+        # enforce divisibility of the remaining block by the pivot
+        d = M[t][t]
+        bad = None
+        for i in range(t + 1, m):
+            Mi = M[i]
+            for j in range(t + 1, n):
+                if Mi[j] % d:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            # fold the offending row into row t and re-eliminate
+            row_sub(t, bad, -1)
+            continue
+        t += 1
+
+    D = IntMatrix.from_rows(M, cols=n)
+    return SNF(D=D,
+               U=IntMatrix.from_rows(U, cols=m),
+               Uinv=IntMatrix.from_rows(Ui, cols=m),
+               V=IntMatrix.from_rows(V, cols=n),
+               Vinv=IntMatrix.from_rows(Vi, cols=n))

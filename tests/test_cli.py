@@ -48,6 +48,16 @@ def test_parse_rejects_bad_face_table():
         parse_document(doc)
 
 
+def test_parse_rejects_face_table_that_is_not_an_object(tmp_path, capsys):
+    doc = {"kind": "simplicial_set",
+           "cells": {"0": ["v"], "1": ["e"]},
+           "faces": [["v", []], ["v", []]]}
+    with pytest.raises(InputError, match="'faces' must map"):
+        parse_document(doc)
+    assert main(["homology", write_doc(tmp_path, doc)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_parse_rejects_inconsistent_faces():
     # a 2-cell whose face table violates d_i d_j = d_{j-1} d_i
     doc = {"kind": "simplicial_set",
@@ -94,6 +104,19 @@ def test_cmd_pi_non_simply_connected(tmp_path, capsys):
     path = write_doc(tmp_path, circ)
     assert main(["pi", path, "--k", "2", "--assume-simply-connected"]) == 1
     assert "simply connected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["homology", "--max-dim", "-3"],
+    ["pi", "--k", "3", "--degree-cap", "2"],
+    ["pi", "--k", "3", "--degree-cap", "4", "--assume-simply-connected"],
+    ["postnikov", "--k", "2", "--degree-cap", "3"],
+])
+def test_cmd_bad_flags_exit_2(tmp_path, capsys, args):
+    path = write_doc(tmp_path, S2_DOC)
+    assert main([args[0], path, *args[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "input error" in out.err
 
 
 def test_cmd_postnikov_dump_and_eval(tmp_path, capsys):

@@ -1,13 +1,19 @@
+import random
 import warnings
+from itertools import combinations
 
 import pytest
+import sympy
 
 from effhom.abgroup import Z, ZERO_GROUP, cyclic
-from effhom.chains import homology_groups, normalized_chains
+from effhom.chains import (Chain, complex_homology, diff_matrix,
+                           homology_groups, induced_chain_map,
+                           normalized_chains)
 from effhom.postnikov import (build_tower, evaluate_k_invariant, evaluate_phi,
                               homotopy_group, point_space, verify_tower)
-from effhom.reduction import trivial_equipment
+from effhom.reduction import cone_equipment, trivial_equipment
 from effhom.simplicial import from_facets, nondeg, sphere
+from effhom.smith import smith_normal_form
 from helpers import RP2_FACETS
 
 
@@ -148,3 +154,60 @@ def test_determinism_of_stage_data():
             {repr(k): v for k, v in s2.kappa_ef.items()}
         assert {repr(k): v for k, v in s1.lambda_ef.items()} == \
             {repr(k): v for k, v in s2.lambda_ef.items()}
+
+
+def stacked_sphere(vertices, seed):
+    """Stacked 2-sphere: stellar subdivisions of seeded facets of a tetrahedron."""
+    rng = random.Random(seed)
+    facets = list(combinations(range(4), 3))
+    for v in range(4, vertices):
+        a, b, c = facets.pop(rng.randrange(len(facets)))
+        facets += [(a, b, v), (a, c, v), (b, c, v)]
+    return from_facets(facets)
+
+
+def projected_classes(EC, degree):
+    """class_of the projection onto ker d along the Smith complement, per cell.
+
+    The projection is rebuilt from its definition: W = [kernel | complement]
+    holds the columns of V from the Smith form of d (kernel columns are
+    those of a zero pivot), and a vector x projects to the kernel part of
+    W^-1 x, with W inverted by sympy.
+    """
+    d = diff_matrix(EC, degree)
+    snf = smith_normal_form(d)
+    diag = snf.diagonal
+    n = d.cols
+    kernel = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
+    cols = kernel + [j for j in range(n) if j not in kernel]
+    W = sympy.Matrix(n, n, lambda i, c: snf.V.get(i, cols[c]))
+    Winv = W.inv()
+    solver = complex_homology(EC, degree)
+    basis = EC.basis(degree)
+    out = {}
+    for j, cell in enumerate(basis):
+        y = Winv[:, j]
+        proj = W[:, :len(kernel)] * y[:len(kernel), :]
+        assert all(v.is_integer for v in proj)
+        out[cell] = solver.class_of(
+            Chain(degree, [(b, int(v)) for b, v in zip(basis, proj)]))
+    return solver, out
+
+
+@pytest.mark.parametrize("X", [sphere(2), stacked_sphere(24, 3)],
+                         ids=["S2", "stacked24"])
+def test_projected_class_matches_kernel_projection(X):
+    Y = equip(X, "C(Y)")
+    T = build_tower(Y, 3)
+    for i in range(1, 4):
+        P_prev = T.stage(i - 1).P_i if i > 1 else T.P0
+        phi_prev = T.stage(i - 1).phi_i if i > 1 else T.phi0
+        phi_star = induced_chain_map(phi_prev, Y.chains, P_prev.chains)
+        EC = cone_equipment(phi_star, Y.eq, P_prev.eq).small
+        solver, expected = projected_classes(EC, i + 1)
+        st = T.stage(i)
+        for cell, cls in expected.items():
+            assert solver.projected_class_of(Chain.single(cell, i + 1)) == cls
+            stored = st.kappa_ef if cell.tag == "b" else st.lambda_ef
+            assert stored[cell.cell] == cls
+
