@@ -21,7 +21,7 @@ from .ez import (_shuffles, ez_reduction, product_equivalence,
 from .reduction import (Equipped, Reduction, StrongEq, basic_perturbation,
                         compose_strong_equivalences, cone_equipment,
                         conjugate_big, conjugate_small, identity_reduction,
-                        iso_as_reduction, morse_reduction, normalize_effective,
+                        morse_reduction, normalize_effective,
                         perturb_strong_equivalence, trivial_equivalence)
 from .simplicial import ProductSSet, Simplex, product
 
@@ -81,15 +81,8 @@ class TwistedProductSSet(ProductSSet):
         return self.pair(G.canon(G.raw_add(rg, rt)), B.face(0, base.b))
 
 
-def _relabel_iso(C: CCx, D: CCx) -> Reduction:
-    """Identity-on-cells isomorphism between complexes sharing a basis."""
-    fwd = ChainMap(C, D, lambda c: Chain.single(c, C.cell_dim(c)))
-    bwd = ChainMap(D, C, lambda c: Chain.single(c, D.cell_dim(c)))
-    return iso_as_reduction(C, D, fwd, bwd, name="relabel")
-
-
 def twisted_product_equivalence(F_eq: Equipped, B_eq: Equipped, tau,
-                                TP=None, CTP=None) -> Equipped:
+                                TP=None) -> Equipped:
     """Equip G x_tau B by perturbing the equipment of the plain product.
 
     The twist changes only the differential; its difference with the
@@ -97,7 +90,7 @@ def twisted_product_equivalence(F_eq: Equipped, B_eq: Equipped, tau,
     so the series are nilpotent within degree + 1 steps.
     """
     TP = TP if TP is not None else TwistedProductSSet(F_eq.obj, B_eq.obj, tau)
-    CTP = CTP if CTP is not None else normalized_chains(TP)
+    CTP = normalized_chains(TP)
     un = product_equivalence([F_eq, B_eq])
     CP = un.chains
 
@@ -105,8 +98,7 @@ def twisted_product_equivalence(F_eq: Equipped, B_eq: Equipped, tau,
         return CTP.diff_cell(cell) - CP.diff_cell(cell)
 
     delta = ChainMap(CP, CP, tw_cell, shift=-1)
-    eq = perturb_strong_equivalence(un.eq, delta, bound=lambda k: k + 2)
-    eq = conjugate_big(eq, _relabel_iso(eq.big, CTP))
+    eq = perturb_strong_equivalence(un.eq, CTP, delta, bound=lambda k: k + 2)
     return Equipped(TP, CTP, eq)
 
 
@@ -145,10 +137,6 @@ class DGA:
                 for cell, c in self.mul_cells(a, b).items():
                     out._add(cell, ca * cb * c)
         return out
-
-    def aug(self, x: Chain):
-        """Augmentation: coefficient sum in degree 0."""
-        return sum(x.terms.values()) if x.degree == 0 else 0
 
 
 def em_product(G, C: CCx = None) -> DGA:
@@ -221,8 +209,7 @@ def suspended_ideal(A: CCx, name=None) -> CCx:
             return A.basis(k - 1) if k >= 2 else []
 
     return CCx(dim_fn, diff_cell, basis_fn,
-               name=name or (f"{A.name}^" if A.name else "Abar"),
-               degree_cap=A.degree_cap)
+               name=name or (f"{A.name}^" if A.name else "Abar"))
 
 
 def suspended_ideal_equivalence(eqA: StrongEq, vertex) -> "tuple[CCx, StrongEq]":
@@ -328,12 +315,11 @@ def external_differential(mul_cells, act):
     return ext_cell
 
 
-def bar_complex(abar: CCx, N: CCx, mul_cells, act, name=None,
-                external=True) -> CCx:
+def bar_complex(abar: CCx, N: CCx, mul_cells, act, name=None) -> CCx:
     """Bar complex with entries from the suspended ideal and coefficients N.
 
     Cells are tensor words (a1, ..., an, y); the differential is the
-    stratified tensor differential plus (optionally) the external part.
+    stratified tensor differential plus the external part.
     Basis enumeration relies on the entries having degree >= 2, which the
     normalized effective ideal guarantees.
     """
@@ -343,7 +329,7 @@ def bar_complex(abar: CCx, N: CCx, mul_cells, act, name=None,
     def diff_cell(cell):
         n = len(cell.parts) - 1
         d = stratum(n).diff_cell(cell)
-        if external and n >= 1:
+        if n >= 1:
             d = d + ext(cell)
         return d
 
@@ -355,8 +341,7 @@ def bar_complex(abar: CCx, N: CCx, mul_cells, act, name=None,
                 out.extend(stratum(n).basis(k))
             return out
 
-    return CCx(lambda c: c.degree, diff_cell, basis_fn,
-               name=name or "Bar", degree_cap=N.degree_cap)
+    return CCx(lambda c: c.degree, diff_cell, basis_fn, name=name or "Bar")
 
 
 def _stratified_reduction(get_red, src: CCx, tgt: CCx) -> Reduction:
@@ -373,12 +358,13 @@ def _stratified_reduction(get_red, src: CCx, tgt: CCx) -> Reduction:
 
 
 def bar_equivalence(entry_eq: StrongEq, N_eq: StrongEq, mul_cells, act,
-                    bar: CCx = None, name=None) -> StrongEq:
-    """Strong equivalence from a bar complex to an effective one.
+                    bar: CCx) -> StrongEq:
+    """Strong equivalence from `bar` to an effective complex.
 
-    Tensor the entry and coefficient equivalences stratum by stratum, then
-    carry the external differential across as a perturbation; it lowers the
-    word length, so the series stop within degree + 1 steps.
+    `bar` is the bar complex of entry_eq.big over N_eq.big.  Tensor the
+    entry and coefficient equivalences stratum by stratum, then carry the
+    external differential across as a perturbation; it lowers the word
+    length, so the series stop within degree + 1 steps.
     """
     stratum_big = _strata(entry_eq.big, N_eq.big)
     stratum_mid = _strata(entry_eq.middle, N_eq.middle)
@@ -394,7 +380,7 @@ def bar_equivalence(entry_eq: StrongEq, N_eq: StrongEq, mul_cells, act,
                 return out
         return CCx(lambda c: c.degree,
                    lambda c: stratum(len(c.parts) - 1).diff_cell(c),
-                   basis_fn, name=nm, degree_cap=N_eq.big.degree_cap)
+                   basis_fn, name=nm)
 
     big = disum(stratum_big, nm="BarT")
     mid = disum(stratum_mid, nm="BarTmid")
@@ -425,10 +411,7 @@ def bar_equivalence(entry_eq: StrongEq, N_eq: StrongEq, mul_cells, act,
         return ext(cell)
 
     delta = ChainMap(big, big, ext_or_zero, shift=-1)
-    eq = perturb_strong_equivalence(eq, delta, bound=lambda k: k + 2)
-    if bar is not None:
-        eq = conjugate_big(eq, _relabel_iso(eq.big, bar))
-    return eq
+    return perturb_strong_equivalence(eq, bar, delta, bound=lambda k: k + 2)
 
 
 def bar_inverse_reduction(bar: CCx, M: CCx, unit: Simplex) -> Reduction:
@@ -497,12 +480,11 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
     def tw_cell(cell):
         return CTP.diff_cell(cell) - CP.diff_cell(cell)
 
-    red2 = basic_perturbation(ezred, ChainMap(CP, CP, tw_cell, shift=-1),
+    red2 = basic_perturbation(ezred, CTP, ChainMap(CP, CP, tw_cell, shift=-1),
                               bound=lambda k: k + 2)
     Q = red2.target
     eq_Q = compose_strong_equivalences(
-        StrongEq(red2.source, red2, identity_reduction(red2.source)),
-        conjugate_big(total_eq.eq, _relabel_iso(CTP, red2.source)))
+        StrongEq(CTP, red2, identity_reduction(CTP)), total_eq.eq)
 
     dga = em_product(G, A)
     unit = dga.unit
@@ -524,11 +506,10 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
     def dbar_cell(cell):
         return barQ.diff_cell(cell) - bar0.diff_cell(cell)
 
-    red4 = basic_perturbation(inv, ChainMap(bar0, bar0, dbar_cell, shift=-1),
+    red4 = basic_perturbation(inv, barQ,
+                              ChainMap(bar0, bar0, dbar_cell, shift=-1),
                               bound=lambda k: k + 2,
                               check_zero_small_delta=True)
     eq = compose_strong_equivalences(
-        StrongEq(red4.source, red4, identity_reduction(red4.source)),
-        conjugate_big(bar_eq, _relabel_iso(barQ, red4.source)))
-    eq = conjugate_big(eq, _relabel_iso(eq.big, CB))
+        StrongEq(barQ, red4, identity_reduction(barQ)), bar_eq)
     return Equipped(B, CB, eq)

@@ -3,9 +3,9 @@
 Complexes are "black boxes": a dimension function and a differential on
 basis elements (memoized), optionally with per-degree basis enumeration
 (then the complex is *effective* and its homology is computable by Smith
-normal form).  Basis elements of composite complexes (tensor, cone,
-cylinder, bar, ...) are tagged trees of constituent encodings so that
-chains round-trip exactly through composed reductions.
+normal form).  Basis elements of composite complexes (tensor, cone, bar,
+...) are tagged trees of constituent encodings so that chains round-trip
+exactly through composed reductions.
 """
 
 from __future__ import annotations
@@ -111,12 +111,11 @@ class Chain:
 class CCx:
     """Chain complex handle: dimension + differential on basis elements."""
 
-    def __init__(self, dim_fn, diff_fn, basis_fn=None, name=None, degree_cap=None):
+    def __init__(self, dim_fn, diff_fn, basis_fn=None, name=None):
         self._dim_fn = dim_fn
         self._diff_fn = diff_fn
         self._basis_fn = basis_fn
         self.name = name
-        self.degree_cap = degree_cap
         self._diff_cache = {}
 
     def cell_dim(self, cell) -> int:
@@ -227,8 +226,7 @@ def normalized_chains(X, name=None) -> CCx:
             return [X.simplex(c) for c in X.cells(k)]
 
     return CCx(lambda s: s.dim, diff_cell, basis_fn,
-               name=name or f"C({getattr(X, 'name', None) or X.__class__.__name__})",
-               degree_cap=getattr(X, "degree_cap", None))
+               name=name or f"C({getattr(X, 'name', None) or X.__class__.__name__})")
 
 
 def induced_chain_map(f, CX=None, CY=None) -> ChainMap:
@@ -286,10 +284,8 @@ class TensorCCx(CCx):
                 return [TensorCell(tuple(parts), tuple(dims))
                         for parts, dims in _tensor_basis(self.factors, k)]
 
-        caps = [C.degree_cap for C in self.factors if C.degree_cap is not None]
         super().__init__(lambda c: c.degree, diff_cell, basis_fn,
-                         name=name or "(" + "x".join(str(C.name) for C in self.factors) + ")",
-                         degree_cap=min(caps) if caps else None)
+                         name=name or "(" + "x".join(str(C.name) for C in self.factors) + ")")
 
     def cell(self, parts, dims=None):
         if dims is None:
@@ -330,7 +326,7 @@ def tensor_of_chains(chains) -> Chain:
 
 
 # ---------------------------------------------------------------------------
-# algebraic mapping cone and cylinder
+# algebraic mapping cone
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -374,73 +370,11 @@ class ConeCCx(CCx):
                 return ([Tag("a", c) for c in C.basis(k - 1)]
                         + [Tag("b", c) for c in Ct.basis(k)])
 
-        super().__init__(dim_fn, diff_cell, basis_fn, name=name or "Cone",
-                         degree_cap=phi.target.degree_cap)
-        self.C = C
-        self.Ct = Ct
-
-    def include_target(self) -> ChainMap:
-        """The canonical chain map i: Ct -> Cone."""
-        return ChainMap(self.Ct, self,
-                        lambda c: Chain.single(Tag("b", c), self.Ct.cell_dim(c)),
-                        name="cone-incl")
-
-    def include_source(self) -> ChainMap:
-        """Degree +1 inclusion j of C (not a chain map)."""
-        return ChainMap(self.C, self,
-                        lambda c: Chain.single(Tag("a", c), self.C.cell_dim(c) + 1),
-                        shift=1, name="cone-j")
-
-    def project_source(self) -> ChainMap:
-        """Degree -1 projection onto the C summand (not a chain map)."""
-
-        def on_cell(cell):
-            if cell.tag == "a":
-                return Chain.single(cell.cell, self.C.cell_dim(cell.cell))
-            return Chain.zero(self.cell_dim(cell) - 1)
-
-        return ChainMap(self, self.C, on_cell, shift=-1, name="cone-proj")
+        super().__init__(dim_fn, diff_cell, basis_fn, name=name or "Cone")
 
 
 def mapping_cone(phi: ChainMap) -> ConeCCx:
     return ConeCCx(phi)
-
-
-def mapping_cylinder(phi: ChainMap, name=None) -> CCx:
-    """Degree-k part C_{k-1} + Ct_k + C_k.
-
-    d(a, c, b) = (-da, phi(a) + dc, -a + db): the degree-shifted copy of C
-    maps into both the target copy (through phi) and the untouched copy.
-    """
-    C, Ct = phi.source, phi.target
-
-    def dim_fn(cell):
-        if cell.tag == "a":
-            return C.cell_dim(cell.cell) + 1
-        if cell.tag == "c":
-            return Ct.cell_dim(cell.cell)
-        return C.cell_dim(cell.cell)
-
-    def diff_cell(cell):
-        if cell.tag == "a":
-            k = C.cell_dim(cell.cell)
-            da = C.diff_cell(cell.cell)
-            out = (-da).map_cells(lambda x: Tag("a", x), degree=da.degree + 1)
-            out = out + phi.on_cell(cell.cell).map_cells(lambda x: Tag("c", x))
-            return out + Chain.single(Tag("b", cell.cell), k, -1)
-        if cell.tag == "c":
-            return Ct.diff_cell(cell.cell).map_cells(lambda x: Tag("c", x))
-        return C.diff_cell(cell.cell).map_cells(lambda x: Tag("b", x))
-
-    basis_fn = None
-    if C.is_effective and Ct.is_effective:
-        def basis_fn(k):
-            return ([Tag("a", c) for c in C.basis(k - 1)]
-                    + [Tag("c", c) for c in Ct.basis(k)]
-                    + [Tag("b", c) for c in C.basis(k)])
-
-    return CCx(dim_fn, diff_cell, basis_fn, name=name or "Cyl",
-               degree_cap=Ct.degree_cap)
 
 
 # ---------------------------------------------------------------------------

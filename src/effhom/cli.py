@@ -15,7 +15,7 @@ import sys
 import warnings
 
 from .chains import homology_groups, normalized_chains
-from .reduction import trivial_equipment
+from .reduction import check_reduction, trivial_equipment
 from .simplicial import FinSSet, Simplex, from_facets, nondeg, sphere
 from .smith import IntMatrix, smith_normal_form
 
@@ -50,13 +50,17 @@ def parse_document(doc) -> FinSSet:
 
 def _parse_sset_document(doc) -> FinSSet:
     try:
-        cells = {int(d): list(names) for d, names in doc["cells"].items()}
+        cells = {int(d): names for d, names in doc["cells"].items()}
     except (KeyError, ValueError, AttributeError):
         raise InputError("'cells' must map dimensions to cell-name lists")
     dims = {}
     for d, names in cells.items():
         if d < 0:
             raise InputError(f"negative dimension {d}")
+        if not isinstance(names, list) \
+                or not all(isinstance(name, str) for name in names):
+            raise InputError(f"cells of dimension {d} must be a list of "
+                             "cell names (strings)")
         for name in names:
             if name in dims:
                 raise InputError(f"duplicate cell name {name!r}")
@@ -74,17 +78,24 @@ def _parse_sset_document(doc) -> FinSSet:
                 f"cell {name!r} needs exactly {dim + 1} face entries")
         built = []
         for i, pair in enumerate(entry):
-            try:
-                base, degs = pair
-                degs = tuple(int(x) for x in degs)
-            except (TypeError, ValueError):
-                raise InputError(f"face {i} of {name!r} is malformed")
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str) and isinstance(pair[1], list)
+                    and all(type(x) is int for x in pair[1])):
+                raise InputError(f"face {i} of {name!r} is malformed: "
+                                 "expected [cell name, degeneracy list]")
+            base, degs = pair[0], tuple(pair[1])
             if base not in dims:
                 raise InputError(f"face {i} of {name!r}: unknown cell {base!r}")
             if dims[base] + len(degs) != dim - 1:
                 raise InputError(
                     f"face {i} of {name!r} has dimension "
                     f"{dims[base] + len(degs)}, expected {dim - 1}")
+            # s_j applies to a simplex of dimension dims[base] + t, the t-th
+            # index of the ascending word, and needs j <= that dimension
+            if any(not 0 <= j <= dims[base] + t for t, j in enumerate(degs)):
+                raise InputError(
+                    f"face {i} of {name!r}: degeneracies {list(degs)} do not "
+                    f"apply to the {dims[base]}-cell {base!r}")
             try:
                 built.append(Simplex(base, degs, dim - 1))
             except ValueError as exc:
@@ -262,40 +273,6 @@ def cmd_postnikov(args) -> int:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _random_chain(C, k, rng, size=3):
-    from .chains import Chain
-    basis = C.basis(k)
-    out = Chain(k)
-    for _ in range(min(size, len(basis))):
-        out._add(rng.choice(basis), rng.randint(-4, 4))
-    return out
-
-
-def _check_reduction(red, max_deg, rng, samples):
-    """Five-axiom sample; returns the name of the first broken axiom."""
-    C, D = red.source, red.target
-    for k in range(max_deg + 1):
-        for _ in range(samples):
-            y = _random_chain(D, k, rng)
-            if not (red.f(red.g(y)) - y).is_zero():
-                return "fg=id"
-            if not red.h(red.g(y)).is_zero():
-                return "hg=0"
-            if not C.is_effective:
-                # no finite basis to sample on the source side
-                continue
-            x = _random_chain(C, k, rng)
-            lhs = x - red.g(red.f(x))
-            rhs = C.diff(red.h(x)) + red.h(C.diff(x))
-            if not (lhs - rhs).is_zero():
-                return "id-gf=dh+hd"
-            if not red.f(red.h(x)).is_zero():
-                return "fh=0"
-            if not red.h(red.h(x)).is_zero():
-                return "hh=0"
-    return None
-
-
 def _suite_reduction_axioms(seed, samples):
     from .ez import product_equivalence
     rng = random.Random(seed)
@@ -309,7 +286,7 @@ def _suite_reduction_axioms(seed, samples):
     for name, red in (("torus EZ right leg", torus.eq.right),
                       ("torus EZ left leg", torus.eq.left),
                       ("S1xS2 EZ right leg", prod.eq.right)):
-        broken = _check_reduction(red, 4, rng, samples)
+        broken = check_reduction(red, 4, rng, samples)
         checks.append((f"reduction axioms: {name}"
                        + (f" [{broken}]" if broken else ""), broken is None))
     return checks
@@ -358,7 +335,7 @@ def _suite_perturbation(seed, samples):
     checks.append(("perturbation: H_1 of the divided K(Z/3,1) is Z/3",
                    equipped_homology(E, 1).group == cyclic(3)))
     rng = random.Random(seed)
-    broken = _check_reduction(E.eq.right, 4, rng, samples)
+    broken = check_reduction(E.eq.right, 4, rng, samples)
     checks.append(("perturbation: divided equipment axioms"
                    + (f" [{broken}]" if broken else ""), broken is None))
     return checks
@@ -388,7 +365,7 @@ def _suite_injected_fault(seed, samples):
         ChainMap(D, C, lambda c: Chain.single("e0", 0, 2)),  # not a section
         ChainMap(C, C, lambda c: Chain.zero(C.cell_dim(c) + 1), shift=1))
     rng = random.Random(seed)
-    broken = _check_reduction(red, 1, rng, samples)
+    broken = check_reduction(red, 1, rng, samples)
     return [(f"injected fault detected [{broken}]", broken is not None),
             ("injected fixture fails as designed", broken == "fg=id")]
 

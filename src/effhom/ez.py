@@ -130,13 +130,6 @@ def ez_reduction(X, Y, CX=None, CY=None, P=None, CP=None, T=None) -> Reduction:
     return Reduction(CP, T, f, g, mred.h, name="EZ")
 
 
-def morse_ez_reduction(X, Y):
-    """The raw Morse reduction onto critical product cells (for testing)."""
-    P = product(X, Y)
-    CP = normalized_chains(P)
-    return P, morse_reduction(CP, ez_field(P))
-
-
 # ---------------------------------------------------------------------------
 # tensor products of reductions and strong equivalences
 # ---------------------------------------------------------------------------

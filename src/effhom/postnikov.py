@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .abgroup import AbGroup
 from .bar import pullback_fibration
 from .chains import (Chain, Cochain, Tag, complex_homology,
-                     induced_chain_map, mapping_cone, normalized_chains)
+                     induced_chain_map, normalized_chains)
 from .em import (EMSpace, cochain_to_map, delta_map, pseudo_section_psi,
                  em_equivalence)
 from .reduction import Equipped, cone_equipment, trivial_equipment

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import (CCx, Chain, ChainMap, Tag, compose_chain_maps,
+from .chains import (CCx, Chain, ChainMap, ConeCCx, Tag, compose_chain_maps,
                      complex_homology, diff_matrix, identity_chain_map,
                      mapping_cone, zero_map)
 from .smith import smith_normal_form
@@ -43,25 +43,19 @@ def iso_as_reduction(C: CCx, D: CCx, fwd: ChainMap, bwd: ChainMap,
     return Reduction(C, D, fwd, bwd, zero_map(C, C, shift=1), name=name)
 
 
-def compose_reductions(*reductions) -> Reduction:
+def compose_reductions(r1: Reduction, r2: Reduction) -> Reduction:
     """(f1,g1,h1): A => B then (f2,g2,h2): B => C gives A => C with
     (f2 f1, g1 g2, h1 + g1 h2 f1)."""
-    if len(reductions) == 1 and not isinstance(reductions[0], Reduction):
-        reductions = tuple(reductions[0])
-    out = reductions[0]
-    for r in reductions[1:]:
-        if r.source is not out.target:
-            raise ValueError("reductions do not chain: target/source mismatch")
-        f = compose_chain_maps(r.f, out.f)
-        g = compose_chain_maps(out.g, r.g)
-        h_extra = compose_chain_maps(out.g, r.h, out.f)
+    if r2.source is not r1.target:
+        raise ValueError("reductions do not chain: target/source mismatch")
+    h_extra = compose_chain_maps(r1.g, r2.h, r1.f)
 
-        def on_cell(cell, h1=out.h, h2=h_extra):
-            return h1.on_cell(cell) + h2.on_cell(cell)
+    def h_cell(cell):
+        return r1.h.on_cell(cell) + h_extra.on_cell(cell)
 
-        h = ChainMap(out.source, out.source, on_cell, shift=1)
-        out = Reduction(out.source, r.target, f, g, h)
-    return out
+    return Reduction(r1.source, r2.target, compose_chain_maps(r2.f, r1.f),
+                     compose_chain_maps(r1.g, r2.g),
+                     ChainMap(r1.source, r1.source, h_cell, shift=1))
 
 
 @dataclass
@@ -145,9 +139,7 @@ def compose_strong_equivalences(e1: StrongEq, e2: StrongEq) -> StrongEq:
                     + [Tag("c", c) for c in E.basis(k - 1)]
                     + [Tag("p", c) for c in A2.basis(k)])
 
-    D = CCx(dim_fn, diff_cell, basis_fn, name="DblCyl",
-            degree_cap=min((c for c in (A.degree_cap, A2.degree_cap)
-                            if c is not None), default=None))
+    D = CCx(dim_fn, diff_cell, basis_fn, name="DblCyl")
 
     def split(chain):
         a = Chain(chain.degree)
@@ -219,8 +211,7 @@ def perturbed_complex(C: CCx, delta: ChainMap, name=None) -> CCx:
         return C.diff_cell(cell) + delta.on_cell(cell)
 
     return CCx(C.cell_dim, diff_cell, C._basis_fn,
-               name=name or (f"{C.name}'" if C.name else None),
-               degree_cap=C.degree_cap)
+               name=name or (f"{C.name}'" if C.name else None))
 
 
 def _series(step, x: Chain, bound) -> Chain:
@@ -249,20 +240,21 @@ def _series(step, x: Chain, bound) -> Chain:
         "(declared nilpotency bound violated)")
 
 
-def basic_perturbation(red: Reduction, delta: ChainMap, bound=None,
-                       name=None, check_zero_small_delta=False) -> Reduction:
+def basic_perturbation(red: Reduction, Cp: CCx, delta: ChainMap, bound=None,
+                       check_zero_small_delta=False) -> Reduction:
     """Perturb the big complex of a reduction by delta (degree -1).
 
-    Requires h.delta locally nilpotent.  With phi = sum (-1)^i (h delta)^i
-    and psi = sum (-1)^i (delta h)^i, the new reduction is
-    (f psi, phi g, phi h) between (source, d + delta) and
-    (target, d + f psi delta g).
+    Cp is the big complex with differential d + delta; the result starts
+    at it.  Requires h.delta locally nilpotent.  With
+    phi = sum (-1)^i (h delta)^i and psi = sum (-1)^i (delta h)^i, the new
+    reduction is (f psi, phi g, phi h) from Cp to (target, d + f psi delta g).
 
-    With check_zero_small_delta the induced perturbation on the small
-    complex is asserted to vanish on every cell it is evaluated on (this
-    is a structural fact in some constructions, not a generic one).
+    With check_zero_small_delta the induced perturbation f psi delta g is
+    a structural zero (true in some constructions, not generically): the
+    target is kept as it is, and the new g asserts the zero on every cell
+    it is evaluated on.
     """
-    C, D, f, g, h = red.source, red.target, red.f, red.g, red.h
+    D, f, g, h = red.target, red.f, red.g, red.h
 
     def phi(x):
         return _series(lambda t: h(delta(t)), x, bound)
@@ -270,71 +262,65 @@ def basic_perturbation(red: Reduction, delta: ChainMap, bound=None,
     def psi(x):
         return _series(lambda t: delta(h(t)), x, bound)
 
-    Cp = perturbed_complex(C, delta)
+    def small_delta_cell(cell):
+        return f(psi(delta(g.on_cell(cell))))
 
     if check_zero_small_delta:
-        def small_delta_cell(cell):
-            out = f(psi(delta(g.on_cell(cell))))
+        Dp = D
+    else:
+        Dp = perturbed_complex(D, ChainMap(D, D, small_delta_cell, shift=-1))
+
+    def g_cell(cell):
+        if check_zero_small_delta:
+            out = small_delta_cell(cell)
             if not out.is_zero():
                 raise AssertionError(
                     f"induced perturbation expected to vanish on {cell!r}, "
                     f"got {out!r}")
-            return out
-    else:
-        def small_delta_cell(cell):
-            return f(psi(delta(g.on_cell(cell))))
+        return phi(g.on_cell(cell))
 
-    small_delta = ChainMap(D, D, small_delta_cell, shift=-1)
-    Dp = perturbed_complex(D, small_delta, name=name)
-
-    f2 = ChainMap(Cp, Dp, lambda c: f(psi(Chain.single(c, C.cell_dim(c)))))
-    g2 = ChainMap(Dp, Cp, lambda c: phi(g.on_cell(c)))
-    h2 = ChainMap(Cp, Cp, lambda c: phi(h.on_cell(c)), shift=1)
-    return Reduction(Cp, Dp, f2, g2, h2, name=name)
+    return Reduction(
+        Cp, Dp,
+        ChainMap(Cp, Dp, lambda c: f(psi(Chain.single(c, Cp.cell_dim(c))))),
+        ChainMap(Dp, Cp, g_cell),
+        ChainMap(Cp, Cp, lambda c: phi(h.on_cell(c)), shift=1))
 
 
-def easy_perturbation(red: Reduction, delta_small: ChainMap,
-                      name=None) -> Reduction:
-    """Perturb the small complex; the big one gets d + g delta f, maps unchanged."""
-    C, D, f, g, h = red.source, red.target, red.f, red.g, red.h
+def easy_perturbation(red: Reduction, Dp: CCx, delta: ChainMap) -> Reduction:
+    """Perturb the small complex by delta; Dp is it with differential d + delta.
+
+    The big complex gets d + g delta f and the maps are unchanged.
+    """
+    C, f, g, h = red.source, red.f, red.g, red.h
 
     def big_delta_cell(cell):
-        return g(delta_small(f.on_cell(cell)))
+        return g(delta(f.on_cell(cell)))
 
     Cp = perturbed_complex(C, ChainMap(C, C, big_delta_cell, shift=-1))
-    Dp = perturbed_complex(D, delta_small)
     return Reduction(Cp, Dp,
                      ChainMap(Cp, Dp, f.on_cell),
                      ChainMap(Dp, Cp, g.on_cell),
-                     ChainMap(Cp, Cp, h.on_cell, shift=1), name=name)
+                     ChainMap(Cp, Cp, h.on_cell, shift=1))
 
 
-def perturb_strong_equivalence(eq: StrongEq, delta: ChainMap, bound=None) -> StrongEq:
+def perturb_strong_equivalence(eq: StrongEq, big: CCx, delta: ChainMap,
+                               bound=None) -> StrongEq:
     """Carry a perturbation of the big complex across a strong equivalence.
 
-    The middle is perturbed by g_L delta f_L (easy lemma on the left leg),
-    and that induced perturbation is pushed through the right leg with the
-    basic lemma.
+    `big` is the big complex with differential d + delta; the result ends
+    at it.  The middle is perturbed by g_L delta f_L (easy lemma on the
+    left leg), and that induced perturbation is pushed through the right
+    leg with the basic lemma.
     """
-    left = easy_perturbation(eq.left, delta)
+    left = easy_perturbation(eq.left, big, delta)
     fL, gL = eq.left.f, eq.left.g
 
     def mid_delta_cell(cell):
         return gL(delta(fL.on_cell(cell)))
 
     mid_delta = ChainMap(eq.middle, eq.middle, mid_delta_cell, shift=-1)
-    right = basic_perturbation(
-        Reduction(left.source, eq.right.target, eq.right.f, eq.right.g,
-                  eq.right.h),
-        mid_delta, bound=bound)
-    # rebind the legs to one shared perturbed middle complex
-    mid = left.source
-    left = Reduction(mid, left.target, left.f, left.g, left.h)
-    right = Reduction(mid, right.target,
-                      ChainMap(mid, right.target, right.f.on_cell),
-                      ChainMap(right.target, mid, right.g.on_cell),
-                      ChainMap(mid, mid, right.h.on_cell, shift=1))
-    return StrongEq(mid, left, right)
+    right = basic_perturbation(eq.right, left.source, mid_delta, bound=bound)
+    return StrongEq(left.source, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +393,7 @@ def morse_reduction(C: CCx, field, name=None) -> Reduction:
         return crit_part(C.diff(g.on_cell(cell)))
 
     small = CCx(C.cell_dim, small_diff, basis_fn,
-                name=name or (f"{C.name}crit" if C.name else "crit"),
-                degree_cap=C.degree_cap)
+                name=name or (f"{C.name}crit" if C.name else "crit"))
     g.source = small
     g.target = C
     f = ChainMap(C, small, f_cell)
@@ -459,8 +444,6 @@ class EquippedHomology:
 
 
 def equipped_homology(E: Equipped, k: int) -> EquippedHomology:
-    if E.effective.degree_cap is not None and k + 1 > E.effective.degree_cap:
-        raise ValueError(f"degree {k} beyond the equipment's cap")
     return EquippedHomology(E, k)
 
 
@@ -486,136 +469,75 @@ def conjugate_small(eq: StrongEq, red: Reduction) -> StrongEq:
 # mapping cones over a strong equivalence
 # ---------------------------------------------------------------------------
 
-def _cone_maps(cone_src, cone_tgt, on_a, on_b):
-    """Chain map between two cones given its action per tag."""
-
-    def on_cell(cell):
-        if cell.tag == "a":
-            return on_a(cell.cell)
-        return on_b(cell.cell)
-
-    return ChainMap(cone_src, cone_tgt, on_cell)
-
-
-def _retag(chain, tag, degree=None):
-    return chain.map_cells(lambda x: Tag(tag, x), degree=degree)
+def _cone_chain(degree, a=None, b=None) -> Chain:
+    """The cone chain (a, b); a lies in the shifted source summand."""
+    out = Chain(degree)
+    for tag, part in (("a", a), ("b", b)):
+        if part is not None:
+            for cell, c in part.items():
+                out._add(Tag(tag, cell), c)
+    return out
 
 
-def cone_reduction_left(red: Reduction, phi: ChainMap, cone_src, cone_tgt):
-    """Cone(phi.f: M -> Y) => Cone(phi: X -> Y) from a reduction M => X.
+def cone_reduction(rA: Reduction, rB: Reduction, src: ConeCCx,
+                   tgt: ConeCCx) -> Reduction:
+    """Cone(phi: A -> B) => Cone(f_B phi g_A: A' -> B') from rA: A => A'
+    and rB: B => B', with phi = src.phi.
 
-    F(m, y) = (f m, y); G(x, y) = (g x, y); H(m, y) = (-h m, 0).
+    This is the direct sum of rA (shifted, so h_A changes sign) and rB,
+    perturbed by phi.  The series stops after one term, because phi maps
+    the A summand into the B summand and nothing maps back:
+
+        F(a, b)   = (f_A a, f_B b + f_B phi h_A a)
+        G(a', b') = (g_A a', g_B b' - h_B phi g_A a')
+        H(a, b)   = (-h_A a, h_B b + h_B phi h_A a)
     """
-    f, g, h = red.f, red.g, red.h
-
-    F = _cone_maps(cone_src, cone_tgt,
-                   lambda m: _retag(f.on_cell(m), "a",
-                                    red.source.cell_dim(m) + 1),
-                   lambda y: Chain.single(Tag("b", y), phi.target.cell_dim(y)))
-    G = _cone_maps(cone_tgt, cone_src,
-                   lambda x: _retag(g.on_cell(x), "a",
-                                    red.target.cell_dim(x) + 1),
-                   lambda y: Chain.single(Tag("b", y), phi.target.cell_dim(y)))
-
-    def H_cell(cell):
-        if cell.tag == "a":
-            m = cell.cell
-            return _retag(-h.on_cell(m), "a", red.source.cell_dim(m) + 2)
-        return Chain.zero(cone_src.cell_dim(cell) + 1)
-
-    return Reduction(cone_src, cone_tgt, F, G,
-                     ChainMap(cone_src, cone_src, H_cell, shift=1))
-
-
-def cone_reduction_right(red: Reduction, psi: ChainMap, cone_src, cone_tgt):
-    """Cone(psi: W -> M) => Cone(f.psi: W -> Y) from a reduction M => Y.
-
-    F(w, m) = (w, f m); G(w, y) = (w, g y - h psi w); H(w, m) = (0, h m).
-    """
-    f, g, h = red.f, red.g, red.h
-    W = psi.source
-
-    F = _cone_maps(cone_src, cone_tgt,
-                   lambda w: Chain.single(Tag("a", w), W.cell_dim(w) + 1),
-                   lambda m: _retag(f.on_cell(m), "b"))
-
-    def G_cell(cell):
-        if cell.tag == "a":
-            w = cell.cell
-            out = Chain.single(Tag("a", w), W.cell_dim(w) + 1)
-            return out + _retag(-h(psi.on_cell(w)), "b")
-        return _retag(g.on_cell(cell.cell), "b")
-
-    def H_cell(cell):
-        if cell.tag == "b":
-            return _retag(h.on_cell(cell.cell), "b")
-        return Chain.zero(cone_src.cell_dim(cell) + 1)
-
-    return Reduction(cone_src, cone_tgt, F,
-                     ChainMap(cone_tgt, cone_src, G_cell),
-                     ChainMap(cone_src, cone_src, H_cell, shift=1))
-
-
-def cone_reduction_push(red: Reduction, psi: ChainMap, cone_src, cone_tgt):
-    """Cone(psi: M -> N) => Cone(psi.g: E -> N) from a reduction M => E.
-
-    F(m, n) = (f m, n + psi h m); G(e, n) = (g e, n); H(m, n) = (-h m, 0).
-    """
-    f, g, h = red.f, red.g, red.h
+    phi = src.phi
+    fA, gA, hA, fB, gB, hB = rA.f, rA.g, rA.h, rB.f, rB.g, rB.h
+    phi_h = compose_chain_maps(phi, hA)
 
     def F_cell(cell):
-        if cell.tag == "a":
-            m = cell.cell
-            out = _retag(f.on_cell(m), "a", red.source.cell_dim(m) + 1)
-            return out + _retag(psi(h.on_cell(m)), "b")
-        return Chain.single(Tag("b", cell.cell),
-                            psi.target.cell_dim(cell.cell))
+        k = src.cell_dim(cell)
+        if cell.tag == "b":
+            return _cone_chain(k, b=fB.on_cell(cell.cell))
+        return _cone_chain(k, a=fA.on_cell(cell.cell),
+                           b=fB(phi_h.on_cell(cell.cell)))
 
-    G = _cone_maps(cone_tgt, cone_src,
-                   lambda e: _retag(g.on_cell(e), "a",
-                                    red.target.cell_dim(e) + 1),
-                   lambda n: Chain.single(Tag("b", n),
-                                          psi.target.cell_dim(n)))
+    def G_cell(cell):
+        k = tgt.cell_dim(cell)
+        if cell.tag == "b":
+            return _cone_chain(k, b=gB.on_cell(cell.cell))
+        ga = gA.on_cell(cell.cell)
+        return _cone_chain(k, a=ga, b=-hB(phi(ga)))
 
     def H_cell(cell):
-        if cell.tag == "a":
-            m = cell.cell
-            return _retag(-h.on_cell(m), "a", red.source.cell_dim(m) + 2)
-        return Chain.zero(cone_src.cell_dim(cell) + 1)
+        k = src.cell_dim(cell) + 1
+        if cell.tag == "b":
+            return _cone_chain(k, b=hB.on_cell(cell.cell))
+        return _cone_chain(k, a=-hA.on_cell(cell.cell),
+                           b=hB(phi_h.on_cell(cell.cell)))
 
-    return Reduction(cone_src, cone_tgt,
-                     ChainMap(cone_src, cone_tgt, F_cell), G,
-                     ChainMap(cone_src, cone_src, H_cell, shift=1))
+    return Reduction(src, tgt, ChainMap(src, tgt, F_cell),
+                     ChainMap(tgt, src, G_cell),
+                     ChainMap(src, src, H_cell, shift=1))
 
 
 def cone_equipment(phi: ChainMap, eqX: StrongEq, eqY: StrongEq) -> StrongEq:
     """Equip Cone(phi: X -> Y) given equipments of X and Y.
 
-    The middle is the cone of phi lifted to the middles through the left
-    legs; both projections factor through the three one-sided cone lemmas
-    above.
+    The middle is the cone of phi lifted to the middles, g_Y phi f_X.  Its
+    cone reductions along the left legs land on Cone(phi), since
+    f_Y g_Y phi f_X g_X = phi, and along the right legs on the effective
+    cone.
     """
     if phi.source is not eqX.big or phi.target is not eqY.big:
         raise ValueError("phi must run between the big ends")
     LX, LY, RX, RY = eqX.left, eqY.left, eqX.right, eqY.right
-    phi1 = compose_chain_maps(phi, LX.f)               # M_X -> Y
-    phi2 = compose_chain_maps(LY.g, phi1)              # M_X -> M_Y
-    phiE = compose_chain_maps(RY.f, phi2, RX.g)        # E_X -> E_Y
-
-    cone_mid = mapping_cone(phi2)
-    cone_big = mapping_cone(phi)
-    cone_1 = mapping_cone(phi1)
-    cone_er = mapping_cone(compose_chain_maps(RY.f, phi2))
-    cone_eff = mapping_cone(phiE)
-
-    left = compose_reductions(
-        cone_reduction_right(LY, phi2, cone_mid, cone_1),
-        cone_reduction_left(LX, phi, cone_1, cone_big))
-    right = compose_reductions(
-        cone_reduction_right(RY, phi2, cone_mid, cone_er),
-        cone_reduction_push(RX, compose_chain_maps(RY.f, phi2),
-                            cone_er, cone_eff))
-    return StrongEq(cone_mid, left, right)
+    mid = mapping_cone(compose_chain_maps(LY.g, phi, LX.f))
+    big = mapping_cone(phi)
+    eff = mapping_cone(compose_chain_maps(RY.f, mid.phi, RX.g))
+    return StrongEq(mid, cone_reduction(LX, LY, mid, big),
+                    cone_reduction(RX, RY, mid, eff))
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +600,7 @@ def normalize_effective(eq: StrongEq) -> StrongEq:
             return [cb(1, i) for i in range(len(b1))]
         return E.basis(k)
 
-    Ecb = CCx(dim_fn, diff_cell, basis_fn, name=f"{E.name}~",
-              degree_cap=E.degree_cap)
+    Ecb = CCx(dim_fn, diff_cell, basis_fn, name=f"{E.name}~")
 
     def bwd_cell(cell):
         if isinstance(cell, Tag) and cell.tag == "cb0":
@@ -704,3 +625,50 @@ def normalize_effective(eq: StrongEq) -> StrongEq:
 
     collapse = morse_reduction(Ecb, field, name=f"{E.name}norm")
     return conjugate_small(eq, compose_reductions(iso, collapse))
+
+
+# ---------------------------------------------------------------------------
+# sampling the reduction axioms
+# ---------------------------------------------------------------------------
+
+def random_chain(basis, k, rng, size=3) -> Chain:
+    """A degree-k chain: `size` draws of a basis element, coefficients in -4..4."""
+    out = Chain(k)
+    for _ in range(min(size, len(basis))):
+        out._add(rng.choice(basis), rng.randint(-4, 4))
+    return out
+
+
+def _basis_or_none(C: CCx, k: int):
+    return C.basis(k) if C.is_effective else None
+
+
+def check_reduction(red: Reduction, max_deg: int, rng, samples=20,
+                    basis=_basis_or_none):
+    """Sample the five reduction axioms; return the first broken one or None.
+
+    In each degree 0..max_deg, `samples` times: a random chain y on the
+    target's basis tests fg = id and hg = 0, and a random x on the source's
+    basis tests id - gf = dh + hd, fh = 0 and hh = 0.  `basis(C, k)` lists
+    the degree-k basis of C, or gives None when C has none to sample on;
+    a side with no basis elements is skipped.
+    """
+    C, D, f, g, h = red.source, red.target, red.f, red.g, red.h
+    for k in range(max_deg + 1):
+        tb, sb = basis(D, k), basis(C, k)
+        for _ in range(samples):
+            if tb:
+                y = random_chain(tb, k, rng)
+                if not (f(g(y)) - y).is_zero():
+                    return "fg=id"
+                if not h(g(y)).is_zero():
+                    return "hg=0"
+            if sb:
+                x = random_chain(sb, k, rng)
+                if not (x - g(f(x)) - C.diff(h(x)) - h(C.diff(x))).is_zero():
+                    return "id-gf=dh+hd"
+                if not f(h(x)).is_zero():
+                    return "fh=0"
+                if not h(h(x)).is_zero():
+                    return "hh=0"
+    return None

@@ -58,8 +58,6 @@ def nondeg(base, dim) -> Simplex:
 class SimplicialSet:
     """Base class: subclasses provide faces of nondegenerate cells."""
 
-    degree_cap = None
-
     def base_face(self, i: int, base) -> Simplex:
         """d_i of the nondegenerate cell `base`, in canonical form."""
         raise NotImplementedError
@@ -254,9 +252,6 @@ class ProductSSet(SimplicialSet):
     def __init__(self, X, Y):
         self.X = X
         self.Y = Y
-        cap = [c for c in (getattr(X, "degree_cap", None),
-                           getattr(Y, "degree_cap", None)) if c is not None]
-        self.degree_cap = min(cap) if cap else None
 
     def pair(self, a: Simplex, b: Simplex) -> Simplex:
         """Canonical encoding of the pair (a, b) of equal-dimension simplices."""

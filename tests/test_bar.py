@@ -15,7 +15,7 @@ from effhom.em import (EMSpace, WBar, _cell_from_bars, kz1_equivalence,
 from effhom.ez import product_equivalence
 from effhom.reduction import equipped_homology, trivial_equipment
 from effhom.simplicial import nondeg, product, sphere
-from helpers import assert_dd_zero, random_chain
+from helpers import assert_dd_zero
 
 
 def unit_twist(G):

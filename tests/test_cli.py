@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from effhom.chains import homology_groups, normalized_chains
 from effhom.cli import (InputError, main, parse_document, serialize_sset)
@@ -69,6 +72,56 @@ def test_parse_rejects_inconsistent_faces():
                      "t": [["bc", []], ["ac", []], ["bc", []]]}}
     with pytest.raises(InputError, match="inconsistent"):
         parse_document(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    # s_1 of the 0-cell v: a 0-simplex only has s_0
+    ({"kind": "simplicial_set", "cells": {"0": ["v"], "2": ["t"]},
+      "faces": {"t": [["v", [0]], ["v", [1]], ["v", [0]]]}},
+     "do not apply"),
+    ({"kind": "simplicial_set", "cells": {"0": ["v"], "1": ["e"]},
+      "faces": {"e": [[["v"], []], ["v", []]]}},
+     "malformed"),
+    # a string is not a list of cell names
+    ({"kind": "simplicial_set", "cells": {"0": "vw"}, "faces": {}},
+     "list of cell names"),
+])
+def test_parse_rejects_malformed_cells_and_faces(tmp_path, capsys, doc,
+                                                 message):
+    assert main(["homology", write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err
+
+
+_NAMES = st.sampled_from(["v", "w", "e", "f", "t"])
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), _NAMES)
+_FACE = st.one_of(
+    st.tuples(st.one_of(_NAMES, st.lists(_NAMES, max_size=1), _LEAF),
+              st.lists(st.integers(-1, 3), max_size=3)).map(list),
+    _LEAF, st.lists(_LEAF, max_size=3))
+_SSET_DOCS = st.fixed_dictionaries({
+    "kind": st.just("simplicial_set"),
+    "cells": st.one_of(
+        st.dictionaries(st.sampled_from(["0", "1", "2", "3", "-1", "x"]),
+                        st.one_of(st.lists(_NAMES, max_size=3, unique=True),
+                                  _LEAF),
+                        max_size=4),
+        _LEAF),
+    "faces": st.one_of(
+        st.dictionaries(_NAMES, st.one_of(st.lists(_FACE, max_size=4), _LEAF),
+                        max_size=5),
+        _LEAF),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_SSET_DOCS)
+def test_homology_of_any_simplicial_set_document_exits_0_or_2(
+        tmp_path_factory, doc):
+    path = write_doc(tmp_path_factory.mktemp("doc"), doc)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["homology", path]) in (0, 2)
 
 
 def test_document_round_trip():

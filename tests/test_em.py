@@ -10,7 +10,7 @@ from effhom.em import (EMSpace, WBar, _cell_from_bars, cochain_to_map,
                        twisting_tau, wbar_iso, wbar_twist)
 from effhom.reduction import equipped_homology
 from effhom.simplicial import nondeg, standard_simplex
-from helpers import assert_reduction_axioms, random_chain
+from helpers import assert_reduction_axioms
 
 
 def random_cochain_raw(space, m, rng, density=0.5):

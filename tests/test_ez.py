@@ -9,12 +9,12 @@ from effhom.chains import (Chain, normalized_chains, homology_groups, tensor,
 from effhom.ez import (aw, eml, ez_reduction, product_equivalence,
                        tensor_of_equivalences, tensor_of_reductions)
 from effhom.reduction import (equipped_homology, identity_reduction,
-                              reduction_as_equivalence, trivial_equipment,
-                              trivial_equivalence)
+                              random_chain, reduction_as_equivalence,
+                              trivial_equipment, trivial_equivalence)
 from effhom.simplicial import (from_facets, nondeg, product, sphere,
                                standard_simplex)
 from helpers import (assert_chain_map, assert_dd_zero,
-                     assert_reduction_axioms, random_chain, rp2)
+                     assert_reduction_axioms, rp2)
 
 
 def test_aw_low_degrees():
@@ -103,7 +103,7 @@ def test_tensor_of_reductions_identity():
     r = tensor_of_reductions([identity_reduction(C), identity_reduction(C)])
     rng = random.Random(0)
     for k in range(3):
-        x = random_chain(r.source, k, rng)
+        x = random_chain(r.source.basis(k), k, rng)
         assert (r.f(x) - x).is_zero()
         assert r.h(x).is_zero()
 
@@ -116,8 +116,8 @@ def test_tensor_of_reductions_axioms():
     assert_reduction_axioms(rr, 4, samples=15)
     # (f (x) f)(a (x) b) = f(a) (x) f(b)
     rng = random.Random(1)
-    a = random_chain(r1.source, 2, rng)
-    b = random_chain(r2.source, 1, rng)
+    a = random_chain(r1.source.basis(2), 2, rng)
+    b = random_chain(r2.source.basis(1), 1, rng)
     lhs = rr.f(tensor_of_chains([a, b]))
     rhs = tensor_of_chains([r1.f(a), r2.f(b)])
     assert (lhs - rhs).is_zero()

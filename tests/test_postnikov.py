@@ -211,3 +211,36 @@ def test_projected_class_matches_kernel_projection(X):
             stored = st.kappa_ef if cell.tag == "b" else st.lambda_ef
             assert stored[cell.cell] == cls
 
+
+
+def test_division_asserts_the_zero_small_perturbation(monkeypatch):
+    """Twisted division relies on the induced perturbation on C(B) being
+    zero.  A bar contraction whose f also keeps the one-letter words with a
+    non-unit algebra coordinate breaks that, and the tower must refuse it."""
+    import effhom.bar as bar
+    import effhom.em as em
+    import effhom.postnikov as pk
+    from effhom.chains import ChainMap
+    from effhom.reduction import Reduction
+
+    exact = bar.bar_inverse_reduction
+
+    def leaky_inverse(bar_cx, M, unit):
+        red = exact(bar_cx, M, unit)
+
+        def f_cell(cell):
+            if len(cell.parts) == 1:
+                return Chain.single(cell.parts[0].parts[1], cell.degree)
+            return Chain.zero(cell.degree)
+
+        return Reduction(red.source, red.target,
+                         ChainMap(red.source, red.target, f_cell),
+                         red.g, red.h)
+
+    monkeypatch.setattr(bar, "bar_inverse_reduction", leaky_inverse)
+    monkeypatch.setattr(em, "_em_cache", {})
+    monkeypatch.setattr(pk, "_tower_cache", {})
+    # stages 2 and 3 never hand f a one-letter word with a non-unit
+    # algebra coordinate; building stage 4 (pi_4 = Z/2) does
+    with pytest.raises(AssertionError, match="induced perturbation"):
+        build_tower(equip(sphere(2), "C(S2)"), 4)

@@ -12,10 +12,11 @@ from effhom.reduction import (Equipped, Reduction, StrongEq,
                               equipped_homology, identity_reduction,
                               iso_as_reduction, morse_reduction,
                               perturb_strong_equivalence, perturbed_complex,
-                              reduction_as_equivalence, trivial_equipment,
-                              trivial_equivalence, zero_map)
+                              random_chain, reduction_as_equivalence,
+                              trivial_equipment, trivial_equivalence,
+                              zero_map)
 from effhom.simplicial import sphere, standard_simplex
-from helpers import assert_dd_zero, assert_reduction_axioms, random_chain
+from helpers import assert_dd_zero, assert_reduction_axioms
 
 
 def cone_field(X, apex=0):
@@ -104,7 +105,7 @@ def test_compose_two_step_formula():
     comp = compose_reductions(r1, r2)
     rng = random.Random(1)
     for k in range(3):
-        x = random_chain(r1.source, k, rng)
+        x = random_chain(r1.source.basis(k), k, rng)
         # h = h1 + g1 h2 f1 with h2 = 0 here
         assert (comp.h(x) - r1.h(x)).is_zero()
         assert (comp.f(x) - r2.f(r1.f(x))).is_zero()
@@ -130,16 +131,19 @@ def test_compose_strong_equivalences_trivial():
                                        trivial_equivalence(C))
     assert homology_groups(comp.middle, 1) == [Z, Z]
     rng = random.Random(2)
-    z = random_chain(C, 1, rng)
+    z = random_chain(C.basis(1), 1, rng)
     assert (comp.left.f(comp.left.g(z)) - z).is_zero()
 
 
 def test_basic_perturbation_zero_delta():
     C, red = small_reduction()
-    out = basic_perturbation(red, zero_map(C, C, shift=-1))
+    delta = zero_map(C, C, shift=-1)
+    Cp = perturbed_complex(C, delta)
+    out = basic_perturbation(red, Cp, delta)
+    assert out.source is Cp
     rng = random.Random(3)
     for k in range(3):
-        x = random_chain(C, k, rng)
+        x = random_chain(C.basis(k), k, rng)
         assert (out.f(x) - red.f(x)).is_zero()
         assert (out.h(x) - red.h(x)).is_zero()
     assert_reduction_axioms(out, 2)
@@ -170,7 +174,7 @@ def test_basic_perturbation_two_term_series():
         return Chain.zero(dims[c] - 1)
 
     delta = ChainMap(C, C, delta_cell, shift=-1)
-    out = basic_perturbation(red, delta, bound=3)
+    out = basic_perturbation(red, perturbed_complex(C, delta), delta, bound=3)
     assert_dd_zero(out.source, 3)
     assert_dd_zero(out.target, 3)
     assert_reduction_axioms(out, 3)
@@ -187,8 +191,27 @@ def test_basic_perturbation_detects_non_nilpotent():
 
     delta = ChainMap(C, C, delta_cell, shift=-1)
     with pytest.raises(ArithmeticError):
-        out = basic_perturbation(red, delta, bound=5)
+        out = basic_perturbation(red, perturbed_complex(C, delta), delta,
+                                 bound=5)
         out.h(Chain.single("x", 1))
+
+
+def test_basic_perturbation_checks_zero_small_delta_in_g():
+    C, red = small_reduction()
+
+    def delta_cell(c):
+        if c == "y":
+            return Chain.single("z", 0, 2)
+        return Chain.zero(C.cell_dim(c) - 1)
+
+    # delta joins the two critical cells, so f psi delta g (y) = 2z
+    delta = ChainMap(C, C, delta_cell, shift=-1)
+    out = basic_perturbation(red, perturbed_complex(C, delta), delta,
+                             check_zero_small_delta=True)
+    assert out.target is red.target
+    assert out.g.on_cell("z") == Chain.single("z", 0)
+    with pytest.raises(AssertionError, match="induced perturbation"):
+        out.g.on_cell("y")
 
 
 def test_easy_perturbation():
@@ -199,8 +222,10 @@ def test_easy_perturbation():
             return Chain.single("z", 0, 2)
         return Chain.zero(red.target.cell_dim(c) - 1)
 
-    out = easy_perturbation(red, ChainMap(red.target, red.target,
-                                          delta_small, shift=-1))
+    delta = ChainMap(red.target, red.target, delta_small, shift=-1)
+    Dp = perturbed_complex(red.target, delta)
+    out = easy_perturbation(red, Dp, delta)
+    assert out.target is Dp
     assert_dd_zero(out.source, 2)
     assert_reduction_axioms(out, 2)
     assert homology_groups(out.source, 1) == [AbGroup((2,)), ZERO_GROUP]
@@ -216,8 +241,11 @@ def test_perturb_strong_equivalence():
             return Chain.single("z", 0, 2)
         return Chain.zero(C.cell_dim(c) - 1)
 
-    out = perturb_strong_equivalence(
-        eq, ChainMap(C, C, delta_cell, shift=-1), bound=3)
+    delta = ChainMap(C, C, delta_cell, shift=-1)
+    Cp = perturbed_complex(C, delta)
+    out = perturb_strong_equivalence(eq, Cp, delta, bound=3)
+    assert out.big is Cp
+    assert out.left.source is out.middle is out.right.source
     assert_dd_zero(out.middle, 2)
     assert_reduction_axioms(out.left, 2)
     assert_reduction_axioms(out.right, 2)
@@ -243,7 +271,7 @@ def test_iso_as_reduction_swap_factors():
     assert_reduction_axioms(red, 2)
     rng = random.Random(5)
     for k in range(1, 3):
-        x = random_chain(T, k, rng)
+        x = random_chain(T.basis(k), k, rng)
         assert (fwd(T.diff(x)) - T2.diff(fwd(x))).is_zero()
 
 
@@ -304,6 +332,31 @@ def test_cone_equipment_nontrivial_legs():
     # cone of S^2 -> pt kills H_0 and shifts H_2 up
     assert homology_groups(eq.small, 3) == [ZERO_GROUP, ZERO_GROUP,
                                             ZERO_GROUP, Z]
+
+
+def test_cone_equipment_nontrivial_legs_on_both_sides():
+    from effhom.reduction import cone_equipment
+    X = sphere(2)
+    C = normalized_chains(X)
+
+    def equipment(apex):
+        # C <= DblCyl => crit: h is nonzero on both legs
+        red = morse_reduction(C, cone_field(X, apex))
+        return compose_strong_equivalences(trivial_equivalence(C),
+                                           reduction_as_equivalence(red))
+
+    eqX, eqY = equipment(0), equipment(1)
+    phi = ChainMap(C, C, lambda c: Chain.single(c, C.cell_dim(c), 2))
+    eq = cone_equipment(phi, eqX, eqY)
+    for leg in (eqX.left, eqX.right, eqY.left, eqY.right):
+        assert any(not leg.h.on_cell(c).is_zero()
+                   for k in range(3) for c in leg.source.basis(k))
+    assert_dd_zero(eq.middle, 4)
+    assert_reduction_axioms(eq.left, 3, samples=10)
+    assert_reduction_axioms(eq.right, 3, samples=10)
+    # the cone of multiplication by 2 on S^2: coker in H_0 and H_2
+    assert homology_groups(eq.small, 3) == [AbGroup((2,)), ZERO_GROUP,
+                                            AbGroup((2,)), ZERO_GROUP]
 
 
 def test_normalize_effective():
