@@ -19,10 +19,9 @@ from .chains import (CCx, Chain, ChainMap, Tag, TensorCell, normalized_chains,
 from .ez import (_shuffles, ez_reduction, product_equivalence,
                  tensor_of_reductions)
 from .reduction import (Equipped, Reduction, StrongEq, basic_perturbation,
-                        compose_strong_equivalences, cone_equipment,
-                        conjugate_big, conjugate_small, identity_reduction,
-                        morse_reduction, normalize_effective,
-                        perturb_strong_equivalence, trivial_equivalence)
+                        cone_equipment, conjugate_big, conjugate_small,
+                        morse_reduction, perturb_strong_equivalence,
+                        trivial_equivalence)
 from .simplicial import ProductSSet, Simplex, product
 
 
@@ -215,12 +214,15 @@ def suspended_ideal(A: CCx, name=None) -> CCx:
 def suspended_ideal_equivalence(eqA: StrongEq, vertex) -> "tuple[CCx, StrongEq]":
     """Equip the suspended augmentation ideal of A = eqA.big.
 
-    Route: normalize the effective end so that its degree-0 part is one
-    cell with d_1 = 0, equip the cone of the augmentation, then collapse
-    the contractible (vertex, augmentation target) pair on both ends.
+    The effective end must have a single degree-0 cell and d_1 = 0, as the
+    equipments of simplicial groups built here do.  Route: equip the cone
+    of the augmentation, then collapse the contractible (vertex,
+    augmentation target) pair on both ends.
     """
-    eqA = normalize_effective(eqA)
     A, E = eqA.big, eqA.small
+    if len(E.basis(0)) != 1 or any(not E.diff_cell(c).is_zero()
+                                   for c in E.basis(1)):
+        raise ValueError("effective end must have one vertex and d_1 = 0")
     Zc = z_complex()
     eps = augmentation(A, Zc)
     eqC = cone_equipment(eps, eqA, trivial_equivalence(Zc))
@@ -315,33 +317,32 @@ def external_differential(mul_cells, act):
     return ext_cell
 
 
-def bar_complex(abar: CCx, N: CCx, mul_cells, act, name=None) -> CCx:
-    """Bar complex with entries from the suspended ideal and coefficients N.
+def _word_complex(stratum, ext=None, name=None) -> CCx:
+    """The sum over n of the strata abar^(x)n (x) N, on tensor words.
 
-    Cells are tensor words (a1, ..., an, y); the differential is the
-    stratified tensor differential plus the external part.
-    Basis enumeration relies on the entries having degree >= 2, which the
-    normalized effective ideal guarantees.
+    Cells are words (a1, ..., an, y).  The differential is the tensor
+    differential of the word's stratum, plus `ext` on words with n >= 1
+    when it is given (the external part of the bar differential).  The
+    complex has a basis exactly when its strata do; enumeration relies on
+    the entries having degree >= 2, which the suspended ideal guarantees.
     """
-    stratum = _strata(abar, N)
-    ext = external_differential(mul_cells, act)
 
     def diff_cell(cell):
         n = len(cell.parts) - 1
         d = stratum(n).diff_cell(cell)
-        if n >= 1:
+        if ext is not None and n >= 1:
             d = d + ext(cell)
         return d
 
     basis_fn = None
-    if abar.is_effective and N.is_effective:
+    if stratum(1).is_effective:
         def basis_fn(k):
             out = []
             for n in range(k // 2 + 1):
                 out.extend(stratum(n).basis(k))
             return out
 
-    return CCx(lambda c: c.degree, diff_cell, basis_fn, name=name or "Bar")
+    return CCx(lambda c: c.degree, diff_cell, basis_fn, name=name)
 
 
 def _stratified_reduction(get_red, src: CCx, tgt: CCx) -> Reduction:
@@ -357,34 +358,22 @@ def _stratified_reduction(get_red, src: CCx, tgt: CCx) -> Reduction:
                      part("h", 1, src, src))
 
 
-def bar_equivalence(entry_eq: StrongEq, N_eq: StrongEq, mul_cells, act,
-                    bar: CCx) -> StrongEq:
-    """Strong equivalence from `bar` to an effective complex.
+def bar_equivalence(entry_eq: StrongEq, N_eq: StrongEq, ext) -> StrongEq:
+    """Equip the bar complex of entry_eq.big over N_eq.big.
 
-    `bar` is the bar complex of entry_eq.big over N_eq.big.  Tensor the
-    entry and coefficient equivalences stratum by stratum, then carry the
-    external differential across as a perturbation; it lowers the word
-    length, so the series stop within degree + 1 steps.
+    `ext` is the external differential of the bar complex.  Tensor the
+    entry and coefficient equivalences stratum by stratum, then carry
+    `ext` across as a perturbation; it lowers the word length, so the
+    series stop within degree + 1 steps.  The result starts at the bar
+    complex.
     """
     stratum_big = _strata(entry_eq.big, N_eq.big)
     stratum_mid = _strata(entry_eq.middle, N_eq.middle)
     stratum_small = _strata(entry_eq.small, N_eq.small)
-
-    def disum(stratum, basis=False, nm=None):
-        basis_fn = None
-        if basis:
-            def basis_fn(k):
-                out = []
-                for n in range(k // 2 + 1):
-                    out.extend(stratum(n).basis(k))
-                return out
-        return CCx(lambda c: c.degree,
-                   lambda c: stratum(len(c.parts) - 1).diff_cell(c),
-                   basis_fn, name=nm)
-
-    big = disum(stratum_big, nm="BarT")
-    mid = disum(stratum_mid, nm="BarTmid")
-    small = disum(stratum_small, basis=True, nm="EBar")
+    big = _word_complex(stratum_big, name="BarT")
+    mid = _word_complex(stratum_mid, name="BarTmid")
+    small = _word_complex(stratum_small, name="EBar")
+    bar = _word_complex(stratum_big, ext, name="Bar")
 
     lefts, rights = {}, {}
 
@@ -403,14 +392,7 @@ def bar_equivalence(entry_eq: StrongEq, N_eq: StrongEq, mul_cells, act,
     right = _stratified_reduction(lambda n: leg(rights, False, n), mid, small)
     eq = StrongEq(mid, left, right)
 
-    ext = external_differential(mul_cells, act)
-
-    def ext_or_zero(cell):
-        if len(cell.parts) == 1:
-            return Chain.zero(cell.degree - 1)
-        return ext(cell)
-
-    delta = ChainMap(big, big, ext_or_zero, shift=-1)
+    delta = ChainMap(big, big, ext, shift=-1)
     return perturb_strong_equivalence(eq, bar, delta, bound=lambda k: k + 2)
 
 
@@ -461,11 +443,14 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
     """Recover equipment for the base of a twisted product G x_tau B.
 
     Steps: perturb the Eilenberg-Zilber reduction of C(G x B) by the twist
-    to reach Q = A (x) C(B) with a twisted differential; run the bar
-    construction of A over Q and over the untwisted tensor complex; the
-    difference of the two bar differentials perturbs the standard bar
-    contraction onto C(B), and the induced perturbation on C(B) vanishes
-    (a structural fact that is asserted at runtime).
+    to reach Q = A (x) C(B) with a twisted differential, and append it to
+    the left leg of the total space's equipment, which then starts at Q.
+    Equip the bar construction of A over Q with the bar equivalence.  The
+    difference of the bar differentials over Q and over the untwisted
+    tensor complex perturbs the standard bar contraction onto C(B); the
+    induced perturbation on C(B) vanishes (a structural fact that is
+    asserted at runtime), and the perturbed contraction is appended to
+    the left leg of the bar equivalence.
     """
     G = G_eq.obj
     A = G_eq.chains
@@ -482,9 +467,7 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
 
     red2 = basic_perturbation(ezred, CTP, ChainMap(CP, CP, tw_cell, shift=-1),
                               bound=lambda k: k + 2)
-    Q = red2.target
-    eq_Q = compose_strong_equivalences(
-        StrongEq(CTP, red2, identity_reduction(CTP)), total_eq.eq)
+    eq_Q = conjugate_big(total_eq.eq, red2)
 
     dga = em_product(G, A)
     unit = dga.unit
@@ -496,11 +479,11 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
             out._add(TensorCell((c, xc), (c.dim, ycell.dims[1])), v)
         return out
 
+    ext = external_differential(dga.mul_cells, act)
     Abar, entry_eq = suspended_ideal_equivalence(G_eq.eq, unit)
-    barQ = bar_complex(Abar, Q, dga.mul_cells, act, name="BarQ")
-    bar_eq = bar_equivalence(entry_eq, eq_Q, dga.mul_cells, act, bar=barQ)
-
-    bar0 = bar_complex(Abar, T0, dga.mul_cells, act, name="Bar0")
+    bar_eq = bar_equivalence(entry_eq, eq_Q, ext)
+    barQ = bar_eq.big
+    bar0 = _word_complex(_strata(Abar, T0), ext, name="Bar0")
     inv = bar_inverse_reduction(bar0, CB, unit)
 
     def dbar_cell(cell):
@@ -510,6 +493,4 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
                               ChainMap(bar0, bar0, dbar_cell, shift=-1),
                               bound=lambda k: k + 2,
                               check_zero_small_delta=True)
-    eq = compose_strong_equivalences(
-        StrongEq(barQ, red4, identity_reduction(barQ)), bar_eq)
-    return Equipped(B, CB, eq)
+    return Equipped(B, CB, conjugate_big(bar_eq, red4))

@@ -206,7 +206,10 @@ def compose_chain_maps(*maps):
 # ---------------------------------------------------------------------------
 
 def normalized_chains(X, name=None) -> CCx:
-    """C_*(X): basis = nondegenerate simplices, degenerate faces dropped."""
+    """C_*(X): basis = nondegenerate simplices, degenerate faces dropped.
+
+    The complex is effective exactly when X is finite.
+    """
 
     def diff_cell(s):
         out = Chain(s.dim - 1)
@@ -221,7 +224,7 @@ def normalized_chains(X, name=None) -> CCx:
         return out
 
     basis_fn = None
-    if hasattr(X, "cells"):
+    if X.finite:
         def basis_fn(k):
             return [X.simplex(c) for c in X.cells(k)]
 

@@ -210,16 +210,17 @@ def _find_simplex(X: FinSSet, token: str):
     for cell in X.all_cells():
         if str(cell) == token:
             return X.simplex(cell)
+    candidates = []
     if "," in token or " " in token:
         try:
-            verts = tuple(int(v) for v in token.replace(",", " ").split())
+            candidates.append(
+                tuple(int(v) for v in token.replace(",", " ").split()))
         except ValueError:
-            verts = None
+            pass
     elif token.isdigit():
-        verts = tuple(int(ch) for ch in token)
-    else:
-        verts = None
-    if verts is not None:
+        # a number names a vertex before its digits name a simplex
+        candidates += [(int(token),), tuple(int(ch) for ch in token)]
+    for verts in candidates:
         for cell in X.all_cells():
             if cell == verts or (len(verts) == 1 and cell == verts[0]):
                 return X.simplex(cell)

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import (CCx, Chain, ChainMap, ConeCCx, Tag, compose_chain_maps,
-                     complex_homology, diff_matrix, identity_chain_map,
-                     mapping_cone, zero_map)
-from .smith import smith_normal_form
+                     complex_homology, identity_chain_map, mapping_cone,
+                     zero_map)
 
 # hard cap on perturbation-series length when no bound is declared
 _SERIES_CAP = 10_000
@@ -98,6 +97,10 @@ def reduction_as_equivalence(r: Reduction) -> StrongEq:
 def compose_strong_equivalences(e1: StrongEq, e2: StrongEq) -> StrongEq:
     """Glue C <= A => E and E <= A' => E' along the shared E.
 
+    This is for two roofs whose reductions really meet at E, as in
+    `ez.product_equivalence` (Eilenberg-Zilber, then the tensor of the
+    factors' equipments).  When the first roof's right leg is the
+    identity, `conjugate_big` gives the same f and g without the cylinder.
     The new middle is the double mapping cylinder
         D_k = A_k + E_{k-1} + A'_k,
         d(a, c, a') = (da - g(c), -dc, da' + g'(c)),
@@ -538,93 +541,6 @@ def cone_equipment(phi: ChainMap, eqX: StrongEq, eqY: StrongEq) -> StrongEq:
     eff = mapping_cone(compose_chain_maps(RY.f, mid.phi, RX.g))
     return StrongEq(mid, cone_reduction(LX, LY, mid, big),
                     cone_reduction(RX, RY, mid, eff))
-
-
-# ---------------------------------------------------------------------------
-# normalizing the degree-0 part of an effective complex
-# ---------------------------------------------------------------------------
-
-def normalize_effective(eq: StrongEq) -> StrongEq:
-    """Reduce the effective end to a single degree-0 cell with d_1 = 0.
-
-    Change bases in degrees 0 and 1 so the boundary matrix becomes its
-    Smith form, then collapse the unit pivots.  Requires H_0 = Z (torsion
-    would leave nontrivial diagonal entries).
-    """
-    E = eq.small
-    b0, b1 = E.basis(0), E.basis(1)
-    if len(b0) == 1 and all(E.diff_cell(c).is_zero() for c in b1):
-        return eq
-    snf = smith_normal_form(diff_matrix(E, 1))
-    r = snf.rank
-    if len(b0) - r != 1 or any(d not in (0, 1) for d in snf.diagonal):
-        raise ValueError("effective complex does not have H_0 = Z")
-
-    def cb(k, i):
-        return Tag(f"cb{k}", i)
-
-    def dim_fn(cell):
-        if isinstance(cell, Tag) and cell.tag in ("cb0", "cb1"):
-            return 0 if cell.tag == "cb0" else 1
-        return E.cell_dim(cell)
-
-    def col_chain(mat, j, k):
-        return Chain(k, [(cb(k, i), mat.get(i, j)) for i in range(mat.rows)])
-
-    def fwd_chain(chain):
-        """Rewrite a chain through the degree-0/1 base change."""
-        if chain.degree == 0:
-            out = Chain(0)
-            for cell, c in chain.items():
-                out = out + c * col_chain(snf.U, b0.index(cell), 0)
-            return out
-        if chain.degree == 1:
-            out = Chain(1)
-            for cell, c in chain.items():
-                out = out + c * col_chain(snf.Vinv, b1.index(cell), 1)
-            return out
-        return chain
-
-    def diff_cell(cell):
-        if isinstance(cell, Tag) and cell.tag == "cb0":
-            return Chain.zero(-1)
-        if isinstance(cell, Tag) and cell.tag == "cb1":
-            i = cell.cell
-            return Chain.single(cb(0, i), 0, 1) if i < r else Chain.zero(0)
-        return fwd_chain(E.diff_cell(cell))
-
-    def basis_fn(k):
-        if k == 0:
-            return [cb(0, i) for i in range(len(b0))]
-        if k == 1:
-            return [cb(1, i) for i in range(len(b1))]
-        return E.basis(k)
-
-    Ecb = CCx(dim_fn, diff_cell, basis_fn, name=f"{E.name}~")
-
-    def bwd_cell(cell):
-        if isinstance(cell, Tag) and cell.tag == "cb0":
-            return Chain(0, [(b0[j], snf.Uinv.get(j, cell.cell))
-                             for j in range(len(b0))])
-        if isinstance(cell, Tag) and cell.tag == "cb1":
-            return Chain(1, [(b1[j], snf.V.get(j, cell.cell))
-                             for j in range(len(b1))])
-        return Chain.single(cell, E.cell_dim(cell))
-
-    iso = iso_as_reduction(E, Ecb,
-                           ChainMap(E, Ecb, lambda c: fwd_chain(
-                               Chain.single(c, E.cell_dim(c)))),
-                           ChainMap(Ecb, E, bwd_cell))
-
-    def field(cell):
-        if isinstance(cell, Tag) and cell.tag == "cb0" and cell.cell < r:
-            return ("s", cb(1, cell.cell))
-        if isinstance(cell, Tag) and cell.tag == "cb1" and cell.cell < r:
-            return ("t", cb(0, cell.cell))
-        return None
-
-    collapse = morse_reduction(Ecb, field, name=f"{E.name}norm")
-    return conjugate_small(eq, compose_reductions(iso, collapse))
 
 
 # ---------------------------------------------------------------------------

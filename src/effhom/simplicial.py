@@ -56,7 +56,13 @@ def nondeg(base, dim) -> Simplex:
 
 
 class SimplicialSet:
-    """Base class: subclasses provide faces of nondegenerate cells."""
+    """Base class: subclasses provide faces of nondegenerate cells.
+
+    `finite` tells whether the nondegenerate cells of each dimension can be
+    listed (by `cells(d)`); it follows from the type of the set.
+    """
+
+    finite = False
 
     def base_face(self, i: int, base) -> Simplex:
         """d_i of the nondegenerate cell `base`, in canonical form."""
@@ -112,6 +118,8 @@ class FinSSet(SimplicialSet):
     faces maps a nondegenerate cell id of dimension >= 1 to the tuple of its
     canonical faces (Simplex values), index i = 0..dim.
     """
+
+    finite = True
 
     def __init__(self, cells, faces, name=None):
         self._cells = {int(d): list(cs) for d, cs in cells.items()}
@@ -253,6 +261,10 @@ class ProductSSet(SimplicialSet):
         self.X = X
         self.Y = Y
 
+    @property
+    def finite(self) -> bool:
+        return self.X.finite and self.Y.finite
+
     def pair(self, a: Simplex, b: Simplex) -> Simplex:
         """Canonical encoding of the pair (a, b) of equal-dimension simplices."""
         if a.dim != b.dim:
@@ -274,7 +286,7 @@ class ProductSSet(SimplicialSet):
         return self.pair(self.X.face(i, base.a), self.Y.face(i, base.b))
 
     def cells(self, d: int):
-        """Nondegenerate d-cells (finite factors only)."""
+        """Nondegenerate d-cells (finite products only)."""
         out = []
         for p in range(d + 1):
             for q in range(d + 1):

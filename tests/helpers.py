@@ -1,5 +1,6 @@
 """Shared fixtures and property-check helpers for the test suite."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -43,6 +44,30 @@ def run_cli(args, hashseed):
         f"effhom {' '.join(args)} exited {out.returncode}:\n"
         f"{out.stderr.decode(errors='replace')}")
     return out.stdout
+
+
+def tower_fingerprint(T):
+    """SHA-256 digest of the data of every stage of a Postnikov tower.
+
+    Per stage i it covers pi_i, kappa_ef and lambda_ef, and phi_i(sigma)
+    and k_{i-1}(phi_{i-1}(sigma)) for every nondegenerate simplex sigma of
+    Y up to the degree cap.  Every value enters through its repr and the
+    dictionaries in sorted order, so the digest is the same under any hash
+    seed.
+    """
+    sigmas = [s for d in range(T.degree_cap + 1) for s in T.Y.chains.basis(d)]
+    lines = []
+    prev = T.phi0
+    for st in T.stages:
+        lines.append(f"stage {st.i}: pi {st.pi_i.render()}")
+        for label, table in (("kappa", st.kappa_ef), ("lambda", st.lambda_ef)):
+            lines += sorted(f"{label} {cell!r} {value!r}"
+                            for cell, value in table.items())
+        for sigma in sigmas:
+            lines.append(f"phi {sigma!r} {st.phi_i(sigma)!r}")
+            lines.append(f"k {sigma!r} {st.k_invariant(prev(sigma))!r}")
+        prev = st.phi_i
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def rp2():

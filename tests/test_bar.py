@@ -3,11 +3,11 @@ import random
 import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
-from effhom.bar import (DGA, TwistedProductSSet, bar_complex,
+from effhom.bar import (DGA, TwistedProductSSet, _strata, _word_complex,
                         bar_inverse_reduction, check_twist_axioms, em_product,
-                        pullback_fibration, suspended_ideal,
-                        suspended_ideal_equivalence, twisted_division,
-                        twisted_product_equivalence)
+                        external_differential, pullback_fibration,
+                        suspended_ideal, suspended_ideal_equivalence,
+                        twisted_division, twisted_product_equivalence)
 from effhom.chains import (Chain, TensorCell, normalized_chains, tensor,
                            z_complex)
 from effhom.em import (EMSpace, WBar, _cell_from_bars, kz1_equivalence,
@@ -139,7 +139,8 @@ def test_bar_inverse_reduction_axioms():
             out._add(TensorCell((c, xc), (c.dim, ycell.dims[1])), v)
         return out
 
-    bar = bar_complex(Abar, N, dga.mul_cells, act, name="Bar")
+    bar = _word_complex(_strata(Abar, N),
+                        external_differential(dga.mul_cells, act), name="Bar")
     # dd = 0 on a spread of handmade bar words
     rng = random.Random(3)
     words = []

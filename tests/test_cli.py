@@ -183,6 +183,17 @@ def test_cmd_postnikov_dump_and_eval(tmp_path, capsys):
     assert main(["postnikov", path, "--k", "2", "--eval", "2:9,9"]) == 2
 
 
+def test_cmd_postnikov_eval_names_a_multi_digit_vertex(tmp_path, capsys):
+    doc = {"kind": "facets", "facets": [[10, 11, 12], [10, 11, 13],
+                                        [10, 12, 13], [11, 12, 13]]}
+    path = write_doc(tmp_path, doc)
+    assert main(["postnikov", path, "--k", "2", "--eval", "2:12"]) == 0
+    assert "phi_2(12) = " in capsys.readouterr().out
+    # 1011 is no vertex, and its digits (1, 0, 1, 1) name no simplex
+    assert main(["postnikov", path, "--k", "2", "--eval", "2:1011"]) == 2
+    assert main(["postnikov", path, "--k", "2", "--eval", "2:10,11"]) == 0
+
+
 def test_cmd_verify_suites(capsys):
     assert main(["verify", "--suite", "smith", "--samples", "10"]) == 0
     assert main(["verify", "--suite", "injected-fault"]) == 0

@@ -12,9 +12,9 @@ from effhom.chains import (Chain, complex_homology, diff_matrix,
 from effhom.postnikov import (build_tower, evaluate_k_invariant, evaluate_phi,
                               homotopy_group, point_space, verify_tower)
 from effhom.reduction import cone_equipment, trivial_equipment
-from effhom.simplicial import from_facets, nondeg, sphere
+from effhom.simplicial import FinSSet, Simplex, from_facets, nondeg, sphere
 from effhom.smith import smith_normal_form
-from helpers import RP2_FACETS
+from helpers import RP2_FACETS, tower_fingerprint
 
 
 def equip(X, name):
@@ -154,6 +154,29 @@ def test_determinism_of_stage_data():
             {repr(k): v for k, v in s2.kappa_ef.items()}
         assert {repr(k): v for k, v in s1.lambda_ef.items()} == \
             {repr(k): v for k, v in s2.lambda_ef.items()}
+
+
+def sphere_wedge(n):
+    """n two-spheres on one common vertex, each a 2-cell with collapsed faces."""
+    cells = [f"c{i}" for i in range(n)]
+    collapsed = (Simplex("v", (0,), 1),) * 3
+    return FinSSet({0: ["v"], 2: cells}, {c: collapsed for c in cells})
+
+
+# digests of `helpers.tower_fingerprint`; any change to them is a change in
+# the computed towers, not only in their speed
+TOWER_DIGESTS = {
+    "S2": "649ffcf035473bc8c74dc4f0003ceea13f7672e7bfb024a146b6a7ecb8bc80f4",
+    "wedge3": "17db406a5d1d6ab9c203f6695bec3b4dd12af924360408877770a6820bac7e47",
+}
+
+
+@pytest.mark.parametrize("name, X, k", [("S2", sphere(2), 4),
+                                        ("wedge3", sphere_wedge(3), 3)],
+                         ids=["S2", "wedge3"])
+def test_tower_fingerprint_is_pinned(name, X, k):
+    T = build_tower(equip(X, "C(Y)"), k)
+    assert tower_fingerprint(T) == TOWER_DIGESTS[name]
 
 
 def stacked_sphere(vertices, seed):

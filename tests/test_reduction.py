@@ -359,19 +359,8 @@ def test_cone_equipment_nontrivial_legs_on_both_sides():
                                             AbGroup((2,)), ZERO_GROUP]
 
 
-def test_normalize_effective():
-    from effhom.reduction import normalize_effective
+def test_suspended_ideal_equivalence_refuses_several_vertices():
+    from effhom.bar import suspended_ideal_equivalence
     C = normalized_chains(sphere(1))      # 3 vertices, 3 edges
-    eq = trivial_equivalence(C)
-    out = normalize_effective(eq)
-    E = out.small
-    assert len(E.basis(0)) == 1
-    assert all(E.diff_cell(c).is_zero() for c in E.basis(1))
-    assert homology_groups(E, 1) == [Z, Z]
-    assert_reduction_axioms(out.right, 2)
-    # transported classes still round-trip
-    eh = Equipped(sphere(1), C, out)
-    h1 = equipped_homology(eh, 1)
-    rep = h1.rep_of((1,))
-    assert C.diff(rep).is_zero()
-    assert h1.class_of(rep) == (1,)
+    with pytest.raises(ValueError, match="one vertex and d_1 = 0"):
+        suspended_ideal_equivalence(trivial_equivalence(C), C.basis(0)[0])
