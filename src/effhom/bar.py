@@ -108,14 +108,9 @@ def pullback_fibration(P_eq: Equipped, f, fiber_eq: Equipped) -> Equipped:
     the literal pullback {(p, e): f(p) = delta(e)} is isomorphic to it via
     (g, p) -> (psi(f(p)) + g, p).
     """
-    from .em import twisting_tau
-    Kn = fiber_eq.obj
-    Kn1 = f.target
-
-    def tau(s: Simplex) -> Simplex:
-        return Kn.canon(twisting_tau(Kn, Kn1.uncanon(f(s))))
-
-    return twisted_product_equivalence(fiber_eq, P_eq, tau)
+    from .em import twisting_operator
+    tau_K = twisting_operator(fiber_eq.obj, f.target)
+    return twisted_product_equivalence(fiber_eq, P_eq, lambda s: tau_K(f(s)))
 
 
 # ---------------------------------------------------------------------------

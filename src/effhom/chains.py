@@ -290,11 +290,6 @@ class TensorCCx(CCx):
         super().__init__(lambda c: c.degree, diff_cell, basis_fn,
                          name=name or "(" + "x".join(str(C.name) for C in self.factors) + ")")
 
-    def cell(self, parts, dims=None):
-        if dims is None:
-            dims = tuple(C.cell_dim(p) for C, p in zip(self.factors, parts))
-        return TensorCell(tuple(parts), tuple(dims))
-
 
 def _tensor_basis(factors, k):
     if not factors:

@@ -178,25 +178,54 @@ def _check_tower_args(args):
         raise InputError("--degree-cap must be at least k + 2")
 
 
-def _equip_file(args):
-    X = parse_input(args.file)
-    return trivial_equipment(X, normalized_chains(X, name=f"C({args.file})"))
+def _check_connected(X: FinSSet):
+    """Refuse an empty or disconnected X: union-find on its 1-skeleton."""
+    root = {v: v for v in X.cells(0)}
+    if not root:
+        raise ValueError("the input is empty")
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for e in X.cells(1):
+        root[find(X.base_face(0, e).base)] = find(X.base_face(1, e).base)
+    parts = len({find(v) for v in root})
+    if parts > 1:
+        raise ValueError(f"the input is not connected: it has {parts} "
+                         "components")
 
 
-def cmd_pi(args) -> int:
+def _file_tower(args):
+    """Equip the input and build its tower; the tower is None on refusal.
+
+    Empty or disconnected input is refused, and so is input whose
+    stage-1 group H_1 is not trivial; the reason goes to stderr.
+    """
     from .postnikov import build_tower
-    _check_tower_args(args)
-    if not args.assume_simply_connected:
-        print("warning: results are only meaningful for simply connected "
-              "input; only H_1 = 0 is verified", file=sys.stderr)
-    Y = _equip_file(args)
+    X = parse_input(args.file)
+    Y = trivial_equipment(X, normalized_chains(X, name=f"C({args.file})"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            T = build_tower(Y, args.k, degree_cap=args.degree_cap)
+            _check_connected(X)
+            return Y, build_tower(Y, args.k, degree_cap=args.degree_cap)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return Y, None
+
+
+def cmd_pi(args) -> int:
+    _check_tower_args(args)
+    if not args.assume_simply_connected:
+        print("warning: results are only meaningful for simply connected "
+              "input; connectivity and H_1 = 0 are verified",
+              file=sys.stderr)
+    _, T = _file_tower(args)
+    if T is None:
+        return 1
     rendered = [T.stage(i).pi_i.render() for i in range(2, args.k + 1)]
     line = ", ".join(f"pi_{i} = {g}" for i, g in zip(range(2, args.k + 1),
                                                     rendered))
@@ -228,16 +257,11 @@ def _find_simplex(X: FinSSet, token: str):
 
 
 def cmd_postnikov(args) -> int:
-    from .postnikov import build_tower, evaluate_k_invariant, evaluate_phi
+    from .postnikov import evaluate_k_invariant, evaluate_phi
     _check_tower_args(args)
-    Y = _equip_file(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            T = build_tower(Y, args.k, degree_cap=args.degree_cap)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    Y, T = _file_tower(args)
+    if T is None:
+        return 1
     lines, payload = [], {"command": "postnikov", "input": args.file,
                           "groups": [], "checks": []}
     if args.eval:

@@ -6,9 +6,9 @@ pi; E(pi,n) carries all n-cochains.  A simplex is stored as a raw value
 pi-element); faces and degeneracies act by pulling back cochains along
 the coface/codegeneracy vertex maps.  On top of the models live the
 fibration delta: E(pi,n) -> K(pi,n+1), its twisting operator tau and
-pseudo-section psi, the classifying-space construction WBar with its
-isomorphism to K(pi,n+1), and the equipment constructors for K(Z,1),
-K(Z/m,1) and general K(pi,n).
+pseudo-section psi, the path fibration K(pi,n) -> E(pi,n) -> K(pi,n+1)
+on the standard models with its contraction, and the equipment
+constructors for K(Z,1), K(Z/m,1) and general K(pi,n).
 """
 
 from __future__ import annotations
@@ -18,18 +18,11 @@ from itertools import combinations
 from .abgroup import AbGroup, Z, cyclic
 from .chains import (Chain, ChainMap, Cochain, circle_complex,
                      induced_chain_map, normalized_chains, z_complex)
+from .ez import product_equivalence
 from .reduction import (Equipped, Reduction, compose_reductions,
                         conjugate_big, iso_as_reduction, morse_reduction,
                         reduction_as_equivalence)
-from .simplicial import RawSSet, Simplex, SMap, nondeg
-
-
-def _label(raw, t):
-    """The label of a raw simplex at the tuple t (group zero left to caller)."""
-    for tt, v in raw[1]:
-        if tt == t:
-            return v
-    return None
+from .simplicial import ProductSSet, RawSSet, Simplex, SMap, nondeg
 
 
 class EMSpace(RawSSet):
@@ -54,8 +47,10 @@ class EMSpace(RawSSet):
         return (m, labels)
 
     def label(self, raw, t):
-        v = _label(raw, t)
-        return self.group.zero() if v is None else v
+        for tt, v in raw[1]:
+            if tt == t:
+                return v
+        return self.group.zero()
 
     def raw_dim(self, raw):
         return raw[0]
@@ -141,6 +136,33 @@ def twisting_tau(space_down: EMSpace, raw):
     return space_down.make_raw(m - 1, out)
 
 
+def twisting_operator(Kn: EMSpace, Kn1: EMSpace):
+    """The twist of the path fibration K(pi,n) -> E(pi,n) -> K(pi,n+1).
+
+    Sends an l-simplex of K(pi,n+1) to the (l-1)-simplex `twisting_tau`
+    of K(pi,n).  Postnikov stages pull it back along their k-invariants.
+    """
+
+    def tau(s: Simplex) -> Simplex:
+        return Kn.canon(twisting_tau(Kn, Kn1.uncanon(s)))
+
+    return tau
+
+
+def cone_raw(K1: EMSpace, gamma, z):
+    """The (l+1)-simplex c of K(pi,n+1) with d0 c = z and tau(c) = gamma.
+
+    gamma is a raw l-simplex of K(pi,n) and z a raw l-simplex of
+    K(pi,n+1).  Off the vertex 0, c is z moved up one vertex; at
+    (0, t + 1) it is gamma(t) + z(0, t), which is what tau(c) = gamma asks.
+    """
+    items = [(tuple(x + 1 for x in t), v) for t, v in z[1]]
+    items += [((0,) + tuple(x + 1 for x in t), v) for t, v in gamma[1]]
+    items += [((0,) + tuple(x + 1 for x in t[1:]), v)
+              for t, v in z[1] if t[0] == 0]
+    return K1.make_raw(z[0] + 1, items)
+
+
 def pseudo_section_psi(space_E: EMSpace, raw):
     """psi(z)(i_0,..,i_n) = z(0, i_0, .., i_n), and 0 whenever i_0 = 0.
 
@@ -200,111 +222,6 @@ def map_to_cochain(f: SMap, space: EMSpace) -> Cochain:
         return space.label(img.base, top)
 
     return Cochain(space.group, space.n, eval_cell)
-
-
-# ---------------------------------------------------------------------------
-# the classifying-space construction
-# ---------------------------------------------------------------------------
-
-class WBar(RawSSet):
-    """W-bar of an abelian simplicial group given by raw operators.
-
-    An m-simplex is a tuple (g_{m-1}, ..., g_0) of raw simplices of G with
-    the displayed dimensions; the tuple is stored top-degree first.
-    """
-
-    def __init__(self, G, name=None):
-        self.G = G
-        self.name = name or f"WBar({getattr(G, 'name', G)})"
-
-    def raw_dim(self, w):
-        return len(w)
-
-    def raw_face(self, i, w):
-        m = len(w)
-        if i == 0:
-            return w[1:]
-        i -= 1
-        out = [self.G.raw_face(i - j, w[j]) for j in range(i)]
-        if i < m - 1:
-            out.append(self.G.raw_add(self.G.raw_face(0, w[i]), w[i + 1]))
-            out.extend(w[i + 2:])
-        return tuple(out)
-
-    def raw_degeneracy(self, i, w):
-        m = len(w)
-        if i == 0:
-            return (self.G.raw_unit(m),) + w
-        i -= 1
-        out = [self.G.raw_degeneracy(i - j, w[j]) for j in range(i + 1)]
-        out.append(self.G.raw_unit(m - i - 1))
-        out.extend(w[i + 1:])
-        return tuple(out)
-
-    # componentwise group structure
-    def raw_unit(self, m):
-        return tuple(self.G.raw_unit(j) for j in range(m - 1, -1, -1))
-
-    def raw_add(self, x, y):
-        return tuple(self.G.raw_add(a, b) for a, b in zip(x, y))
-
-    def raw_neg(self, x):
-        return tuple(self.G.raw_neg(a) for a in x)
-
-
-def wbar_twist(W: WBar):
-    """The canonical twisting of the universal bundle: top coordinate."""
-
-    def tau_s(s: Simplex) -> Simplex:
-        raw = W.uncanon(s)
-        return W.G.canon(raw[0])
-
-    return tau_s
-
-
-def wbar_iso(G: EMSpace, K: EMSpace, W: WBar):
-    """Simplicial isomorphism K(pi,n+1) <-> WBar K(pi,n) (both directions).
-
-    Forward: z -> (tau(z), tau(d0 z), tau(d0^2 z), ...).  The inverse is
-    solved dimension by dimension: labels with i_0 >= 1 come from the
-    inverted d0-tail, labels with i_0 = 0 from the top tuple entry plus a
-    correction read off the tail.
-    """
-    width = K.n + 1     # number of entries in a label tuple of K
-
-    def raw_fwd(z):
-        m = z[0]
-        cur = z
-        out = []
-        for _ in range(m):
-            out.append(twisting_tau(G, cur))
-            cur = K.raw_face(0, cur)
-        return tuple(out)
-
-    def raw_bwd(w):
-        m = len(w)
-        if m == 0:
-            return (0, ())
-        zp = raw_bwd(w[1:])
-        items = []
-        for t in combinations(range(m + 1), width):
-            if t[0] >= 1:
-                v = _label(zp, tuple(x - 1 for x in t))
-                if v is not None:
-                    items.append((t, v))
-                continue
-            rest = tuple(x - 1 for x in t[1:])
-            v = G.label(w[0], rest)
-            if t[1] >= 2:
-                v2 = _label(zp, (0,) + rest)
-                if v2 is not None:
-                    v = K.group.add(v, v2)
-            items.append((t, v))
-        return K.make_raw(m, items)
-
-    fwd = SMap(K, W, lambda z: W.canon(raw_fwd(z)), name="wbar-iso")
-    bwd = SMap(W, K, lambda w: K.canon(raw_bwd(w)), name="wbar-iso-inv")
-    return fwd, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +414,6 @@ def _merge_raws(space: EMSpace, raws):
 
 
 def _em1_equivalence(pi: AbGroup) -> Equipped:
-    from .ez import product_equivalence
-    from .simplicial import ProductSSet
     K = EMSpace(pi, 1)
     if pi.ngens == 0:
         C = normalized_chains(K, name="C(K(0,1))")
@@ -549,23 +464,23 @@ def _em1_equivalence(pi: AbGroup) -> Equipped:
     return Equipped(K, C, eq)
 
 
-def _em_step(prev: Equipped) -> Equipped:
-    """Equip K(pi,n+1) from equipped K(pi,n) via the universal bundle.
+def path_fibration(G: EMSpace):
+    """The path fibration K(pi,n) -> E(pi,n) -> K(pi,n+1), E contracted.
 
-    The total space K(pi,n) x_tau WBar is contractible, with an explicit
-    contraction whose homotopy prepends the fibre coordinate to the base
-    word; twisted division then equips WBar, and the classifying-space
-    isomorphism carries the result to the standard model.
+    E(pi,n) is the twisted product K(pi,n) x_tau K(pi,n+1) with the twist
+    of `twisting_operator`; (g, z) -> (psi(z) + g) identifies it with the
+    cochain model.  The extra degeneracy h(gamma, z) = (unit, c) with c
+    from `cone_raw` contracts it onto a point.  Returns K(pi,n+1), tau and
+    the equipped total space.
     """
-    from .bar import TwistedProductSSet, twisted_division
-    G = prev.obj
+    from .bar import TwistedProductSSet
     pi, n = G.group, G.n
-    W = WBar(G)
-    tau = wbar_twist(W)
-    TP = TwistedProductSSet(G, W, tau)
-    CTP = normalized_chains(TP, name=f"C(K({pi.render()},{n})xW)")
+    K1 = EMSpace(pi, n + 1)
+    tau = twisting_operator(G, K1)
+    TP = TwistedProductSSet(G, K1, tau)
+    CTP = normalized_chains(TP, name=f"C(E({pi.render()},{n}))")
     Zc = z_complex()
-    vertex = TP.pair(G.zero_simplex(0), W.canon(()))
+    vertex = TP.pair(G.zero_simplex(0), K1.zero_simplex(0))
 
     def f_cell(cell):
         k = cell.dim
@@ -574,10 +489,8 @@ def _em_step(prev: Equipped) -> Equipped:
     def h_cell(cell):
         ell = cell.dim
         a_s, b_s = TP.components(cell)
-        gamma = G.uncanon(a_s)
-        omega = W.uncanon(b_s)
-        out = TP.pair(G.canon(G.raw_unit(ell + 1)),
-                      W.canon((gamma,) + omega))
+        c = cone_raw(K1, G.uncanon(a_s), K1.uncanon(b_s))
+        out = TP.pair(G.canon(G.raw_unit(ell + 1)), K1.canon(c))
         if out.is_degenerate():
             return Chain.zero(ell + 1)
         return Chain.single(out, ell + 1)
@@ -586,19 +499,21 @@ def _em_step(prev: Equipped) -> Equipped:
         CTP, Zc,
         ChainMap(CTP, Zc, f_cell),
         ChainMap(Zc, CTP, lambda c: Chain.single(vertex, 0)),
-        ChainMap(CTP, CTP, h_cell, shift=1), name="bundle-contraction")
-    total = Equipped(TP, CTP, reduction_as_equivalence(contraction))
-    CW = normalized_chains(W, name=f"C(WK({pi.render()},{n}))")
-    div = twisted_division(prev, total, tau, W, CB=CW)
+        ChainMap(CTP, CTP, h_cell, shift=1), name="path-contraction")
+    return K1, tau, Equipped(TP, CTP, reduction_as_equivalence(contraction))
 
-    K1 = EMSpace(pi, n + 1)
-    CK1 = normalized_chains(K1, name=f"C(K({pi.render()},{n + 1}))")
-    fwd, bwd = wbar_iso(G, K1, W)
-    eq = conjugate_big(div.eq, iso_as_reduction(
-        CW, CK1,
-        induced_chain_map(bwd, CW, CK1),
-        induced_chain_map(fwd, CK1, CW)))
-    return Equipped(K1, CK1, eq)
+
+def _em_step(prev: Equipped) -> Equipped:
+    """Equip K(pi,n+1) from equipped K(pi,n) through the path fibration.
+
+    The total space E(pi,n) of `path_fibration` is contractible, so
+    twisted division by the fibre K(pi,n) equips the base K(pi,n+1) on
+    the standard model.
+    """
+    from .bar import twisted_division
+    K1, tau, total = path_fibration(prev.obj)
+    CK1 = normalized_chains(K1, name=f"C(K({K1.group.render()},{K1.n}))")
+    return twisted_division(prev, total, tau, K1, CB=CK1)
 
 
 _em_cache = {}

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .chains import (Chain, ChainMap, TensorCCx, TensorCell,
-                     normalized_chains, tensor)
+from .chains import (Chain, ChainMap, TensorCell, normalized_chains, tensor,
+                     tensor_of_chains)
 from .reduction import (Equipped, Reduction, StrongEq,
-                        compose_strong_equivalences, morse_reduction,
-                        reduction_as_equivalence)
+                        compose_strong_equivalences, morse_reduction)
 from .simplicial import PairCell, Simplex, nondeg, product
 
 
@@ -145,28 +144,13 @@ def tensor_of_reductions(reds, source=None, target=None) -> Reduction:
     source = source if source is not None else tensor([r.source for r in reds])
     target = target if target is not None else tensor([r.target for r in reds])
 
-    def combine(chains_per_slot, degree, coeff=1):
-        """Expand a tuple of per-slot chains into a chain of tensor cells."""
-        out = Chain(degree)
-
-        def rec(i, parts, dims, c):
-            if i == len(chains_per_slot):
-                out._add(TensorCell(tuple(parts), tuple(dims)), c)
-                return
-            for cell, v in chains_per_slot[i].items():
-                rec(i + 1, parts + [cell], dims + [chains_per_slot[i].degree],
-                    c * v)
-
-        rec(0, [], [], coeff)
-        return out
-
     def F_cell(cell):
-        per = [r.f.on_cell(p) for r, p in zip(reds, cell.parts)]
-        return combine(per, cell.degree)
+        return tensor_of_chains([r.f.on_cell(p)
+                                 for r, p in zip(reds, cell.parts)])
 
     def G_cell(cell):
-        per = [r.g.on_cell(p) for r, p in zip(reds, cell.parts)]
-        return combine(per, cell.degree)
+        return tensor_of_chains([r.g.on_cell(p)
+                                 for r, p in zip(reds, cell.parts)])
 
     def H_cell(cell):
         out = Chain(cell.degree + 1)
@@ -186,8 +170,8 @@ def tensor_of_reductions(reds, source=None, target=None) -> Reduction:
                     break
                 per.append(c)
             if ok:
-                sign = -1 if left_deg % 2 else 1
-                out = out + combine(per, cell.degree + 1, sign)
+                term = tensor_of_chains(per)
+                out = out + (-term if left_deg % 2 else term)
             left_deg += cell.dims[i]
         return out
 
@@ -227,5 +211,5 @@ def product_equivalence(factors) -> Equipped:
     ez = ez_reduction(head.obj, rest.obj, CX=head.chains, CY=rest.chains,
                       P=P, CP=CP, T=T)
     teq = tensor_of_equivalences([head.eq, rest.eq], big=T)
-    eq = compose_strong_equivalences(reduction_as_equivalence(ez), teq)
+    eq = compose_strong_equivalences(ez, teq)
     return Equipped(P, CP, eq)

@@ -94,24 +94,22 @@ def reduction_as_equivalence(r: Reduction) -> StrongEq:
     return StrongEq(r.source, identity_reduction(r.source), r)
 
 
-def compose_strong_equivalences(e1: StrongEq, e2: StrongEq) -> StrongEq:
-    """Glue C <= A => E and E <= A' => E' along the shared E.
+def compose_strong_equivalences(r: Reduction, eq: StrongEq) -> StrongEq:
+    """Glue a reduction A => E and a roof E <= A' => E' along the shared E.
 
-    This is for two roofs whose reductions really meet at E, as in
+    This is for a reduction and a roof that really meet at E, as in
     `ez.product_equivalence` (Eilenberg-Zilber, then the tensor of the
-    factors' equipments).  When the first roof's right leg is the
-    identity, `conjugate_big` gives the same f and g without the cylinder.
-    The new middle is the double mapping cylinder
+    factors' equipments).  The new middle is the double mapping cylinder
         D_k = A_k + E_{k-1} + A'_k,
         d(a, c, a') = (da - g(c), -dc, da' + g'(c)),
-    with (g, f, h) the E-side maps of the first roof and (g', f', h') of
-    the second.  The two projections of D are reductions onto A and A',
-    composed with the outer legs.
+    with (g, f, h) the maps of r and (g', f', h') of eq's left leg.  The
+    two projections of D are reductions onto A and A'; the first is the
+    new left leg, the second is composed with eq's right leg.
     """
-    if e1.small is not e2.big:
-        raise ValueError("equivalences do not share the middle target")
-    A, A2, E = e1.middle, e2.middle, e1.small
-    r, r2 = e1.right, e2.left          # A => E and A' => E
+    if r.target is not eq.big:
+        raise ValueError("reduction and equivalence do not meet")
+    A, A2, E = r.source, eq.middle, r.target
+    r2 = eq.left                       # A' => E
 
     def dim_fn(cell):
         if cell.tag == "a":
@@ -198,9 +196,7 @@ def compose_strong_equivalences(e1: StrongEq, e2: StrongEq) -> StrongEq:
         ChainMap(A2, D, lambda c: Chain.single(Tag("p", c), A2.cell_dim(c))),
         ChainMap(D, D, H2_cell, shift=1))
 
-    return StrongEq(D,
-                    compose_reductions(red_left, e1.left),
-                    compose_reductions(red_right, e2.right))
+    return StrongEq(D, red_left, compose_reductions(red_right, eq.right))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,14 @@
 import random
 
-import pytest
-
-from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
-from effhom.bar import (DGA, TwistedProductSSet, _strata, _word_complex,
-                        bar_inverse_reduction, check_twist_axioms, em_product,
+from effhom.abgroup import Z, ZERO_GROUP, cyclic
+from effhom.bar import (TwistedProductSSet, _strata, _word_complex,
+                        bar_inverse_reduction, em_product,
                         external_differential, pullback_fibration,
                         suspended_ideal, suspended_ideal_equivalence,
                         twisted_division, twisted_product_equivalence)
 from effhom.chains import (Chain, TensorCell, normalized_chains, tensor,
                            z_complex)
-from effhom.em import (EMSpace, WBar, _cell_from_bars, kz1_equivalence,
-                       wbar_twist)
-from effhom.ez import product_equivalence
+from effhom.em import EMSpace, _cell_from_bars, kz1_equivalence
 from effhom.reduction import equipped_homology, trivial_equipment
 from effhom.simplicial import nondeg, product, sphere
 from helpers import assert_dd_zero
@@ -45,20 +41,6 @@ def test_twisted_product_unit_twist_is_plain_product():
     cell = TP.pair(g, b)
     for i in range(3):
         assert TP.face(i, cell) == P.face(i, cell)
-
-
-def test_wbar_twist_passes_axiom_checker():
-    G = EMSpace(cyclic(2), 1)
-    W = WBar(G)
-    rng = random.Random(1)
-    simplices = []
-    for _ in range(8):
-        m = rng.randint(1, 3)
-        w = tuple(G.make_raw(j, [((a, a + 1), (1,))] if j >= 1 and
-                             rng.random() < 0.7 else [])
-                  for j, a in zip(range(m - 1, -1, -1), [0] * m))
-        simplices.append(W.canon(w))
-    check_twist_axioms(G, W, wbar_twist(W), simplices)
 
 
 def test_em_product_basics():

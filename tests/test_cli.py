@@ -159,6 +159,23 @@ def test_cmd_pi_non_simply_connected(tmp_path, capsys):
     assert "simply connected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, reason", [
+    ({"kind": "facets", "facets": [[0, 1], [2, 3]]},
+     "not connected: it has 2 components"),
+    ({"kind": "simplicial_set", "cells": {}}, "empty"),
+], ids=["two-edges", "empty"])
+@pytest.mark.parametrize("args", [
+    ["pi", "--k", "2"], ["pi", "--k", "2", "--assume-simply-connected"],
+    ["postnikov", "--k", "2"]], ids=["pi", "pi-assume", "postnikov"])
+def test_tower_commands_refuse_empty_or_disconnected_input(
+        tmp_path, capsys, doc, reason, args):
+    path = write_doc(tmp_path, doc)
+    assert main(args[:1] + [path] + args[1:]) == 1
+    out = capsys.readouterr()
+    assert f"error: the input is {reason}" in out.err
+    assert out.out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["homology", "--max-dim", "-3"],
     ["pi", "--k", "3", "--degree-cap", "2"],

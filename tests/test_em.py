@@ -3,14 +3,13 @@ import random
 import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
-from effhom.chains import Chain, Cochain, normalized_chains, homology_groups
-from effhom.em import (EMSpace, WBar, _cell_from_bars, cochain_to_map,
+from effhom.chains import Chain, Cochain, normalized_chains
+from effhom.em import (EMSpace, _cell_from_bars, cochain_to_map, cone_raw,
                        delta_map, ev, kz1_equivalence, map_to_cochain,
-                       potential_to_raw, pseudo_section_psi, raw_to_potential,
-                       twisting_tau, wbar_iso, wbar_twist)
+                       path_fibration, potential_to_raw, pseudo_section_psi,
+                       raw_to_potential, twisting_tau)
 from effhom.reduction import equipped_homology
 from effhom.simplicial import nondeg, standard_simplex
-from helpers import assert_reduction_axioms
 
 
 def random_cochain_raw(space, m, rng, density=0.5):
@@ -213,78 +212,48 @@ def test_cochain_to_map_cocycle_lands_in_K():
         assert K.is_cocycle(K.uncanon(img))
 
 
-def test_wbar_identities():
-    G = EMSpace(cyclic(2), 1)
-    W = WBar(G)
-    rng = random.Random(23)
-    for _ in range(15):
-        m = rng.randint(2, 4)
-        w = tuple(random_cocycle_raw(G, j, rng)
-                  for j in range(m - 1, -1, -1))
-        for j in range(m + 1):
-            for i in range(j):
-                assert W.raw_face(i, W.raw_face(j, w)) == \
-                    W.raw_face(j - 1, W.raw_face(i, w))
-        for i in range(m):
-            for j in range(i, m):
-                assert W.raw_degeneracy(i, W.raw_degeneracy(j, w)) == \
-                    W.raw_degeneracy(j + 1, W.raw_degeneracy(i, w))
-            assert W.raw_face(i, W.raw_degeneracy(i, w)) == w
-            assert W.raw_face(i + 1, W.raw_degeneracy(i, w)) == w
-    # d0 drops the top coordinate
-    w = (random_cocycle_raw(G, 1, rng), random_cocycle_raw(G, 0, rng))
-    assert W.raw_face(0, w) == w[1:]
-    # s0 of the 0-simplex
-    assert W.raw_degeneracy(0, ()) == (G.raw_unit(0),)
+def path_cells(G, K1, TP, ell, rng, draws=6):
+    """Seeded nondegenerate ell-cells (gamma, z) of K(pi,n) x_tau K(pi,n+1)."""
+    cells = []
+    for _ in range(draws):
+        gamma = random_cocycle_raw(G, ell, rng, density=0.6)
+        z = random_cocycle_raw(K1, ell, rng, density=0.6)
+        cell = TP.pair(G.canon(gamma), K1.canon(z))
+        if not cell.is_degenerate():
+            cells.append(cell)
+    return cells
 
 
-def test_wbar_twist_axioms():
-    G = EMSpace(cyclic(2), 1)
-    W = WBar(G)
-    rng = random.Random(29)
-    for _ in range(10):
-        m = rng.randint(2, 4)
-        w = tuple(random_cocycle_raw(G, j, rng)
-                  for j in range(m - 1, -1, -1))
-        t = w[0]
-        assert G.raw_face(0, t) == G.raw_add(
-            W.raw_face(1, w)[0], G.raw_neg(W.raw_face(0, w)[0]))
-        for i in range(1, m - 1):
-            assert G.raw_face(i, t) == W.raw_face(i + 1, w)[0]
-        for i in range(m - 1):
-            assert G.raw_degeneracy(i, t) == W.raw_degeneracy(i + 1, w)[0]
-        assert W.raw_degeneracy(0, w)[0] == G.raw_unit(m)
-
-
-def test_wbar_iso_roundtrip():
-    for group, n in ((Z, 1), (cyclic(2), 1)):
-        G = EMSpace(group, n)
-        K = EMSpace(group, n + 1)
-        W = WBar(G)
-        fwd, bwd = wbar_iso(G, K, W)
-        rng = random.Random(31)
-        for _ in range(12):
-            m = rng.randint(1, 3 + n)
-            z = random_cocycle_raw(K, m, rng)
-            s = K.canon(z)
-            assert bwd(fwd(s)) == s
-            w = tuple(random_cocycle_raw(G, j, rng)
-                      for j in range(m - 1, -1, -1))
-            sw = W.canon(w)
-            assert fwd(bwd(sw)) == sw
-
-
-def test_wbar_iso_is_simplicial():
-    G = EMSpace(cyclic(3), 1)
-    K = EMSpace(cyclic(3), 2)
-    W = WBar(G)
-    fwd, bwd = wbar_iso(G, K, W)
-    rng = random.Random(37)
-    for _ in range(8):
-        m = rng.randint(1, 3)
-        z = K.canon(random_cocycle_raw(K, m, rng))
-        for i in range(m + 1):
-            assert fwd(K.face(i, z)) == W.face(i, fwd(z))
+@pytest.mark.parametrize("group, n", [(Z, 1), (cyclic(2), 1), (Z, 2)],
+                         ids=["Z1", "Z2_1", "Z2"])
+def test_path_fibration_contraction(group, n):
+    from effhom.bar import check_twist_axioms
+    G = EMSpace(group, n)
+    K1, tau, total = path_fibration(G)
+    TP, C = total.obj, total.chains
+    red = total.eq.right
+    rng = random.Random(43 + n)
+    # the cone simplex: d0 c = z, tau(c) = gamma, and c is a cocycle
+    for _ in range(20):
+        ell = rng.randint(0, 4)
+        gamma = random_cocycle_raw(G, ell, rng)
+        z = random_cocycle_raw(K1, ell, rng)
+        c = cone_raw(K1, gamma, z)
+        assert K1.raw_face(0, c) == z
+        assert twisting_tau(G, c) == gamma
+        assert K1.is_cocycle(c)
+    check_twist_axioms(G, K1, tau, [K1.canon(random_cocycle_raw(K1, m, rng))
+                                    for m in (1, 2, 3, 3, 4)])
+    # contraction axioms on seeded chains (the source has no basis)
+    for k in range(1, 5):
+        for _ in range(3):
+            cells = path_cells(G, K1, TP, k, rng)
+            assert cells or (n, k) == (2, 1)     # K(Z,2) is 1-reduced
+            x = Chain(k, {c: rng.randint(-3, 3) for c in cells})
+            assert red.h(red.h(x)).is_zero()
+            assert red.f(red.h(x)).is_zero()
+            lhs = C.diff(red.h(x)) + red.h(C.diff(x))
+            assert (lhs - (x - red.g(red.f(x)))).is_zero()
 
 
 def test_kz1_equivalence_contract():

@@ -168,12 +168,15 @@ def sphere_wedge(n):
 TOWER_DIGESTS = {
     "S2": "649ffcf035473bc8c74dc4f0003ceea13f7672e7bfb024a146b6a7ecb8bc80f4",
     "wedge3": "17db406a5d1d6ab9c203f6695bec3b4dd12af924360408877770a6820bac7e47",
+    # stage 5 reads P_4, whose fibre K(Z/2,4) is an EM step over Z/2
+    "S3": "0d4d776b06443eee170f611f5b249d1640ec1307188c74c85a2081ac31cf04cf",
 }
 
 
 @pytest.mark.parametrize("name, X, k", [("S2", sphere(2), 4),
-                                        ("wedge3", sphere_wedge(3), 3)],
-                         ids=["S2", "wedge3"])
+                                        ("wedge3", sphere_wedge(3), 3),
+                                        ("S3", sphere(3), 5)],
+                         ids=["S2", "wedge3", "S3"])
 def test_tower_fingerprint_is_pinned(name, X, k):
     T = build_tower(equip(X, "C(Y)"), k)
     assert tower_fingerprint(T) == TOWER_DIGESTS[name]

@@ -115,9 +115,8 @@ def test_compose_two_step_formula():
 def test_compose_strong_equivalences():
     r = sphere_morse_reduction(2)
     C = r.source
-    e1 = StrongEq(C, identity_reduction(C), r)          # C <= C => crit
     e_back = StrongEq(C, r, identity_reduction(C))      # crit <= C => C
-    comp = compose_strong_equivalences(e1, e_back)
+    comp = compose_strong_equivalences(r, e_back)
     assert_dd_zero(comp.middle, 4)
     assert_reduction_axioms(comp.left, 3, samples=10)
     assert_reduction_axioms(comp.right, 3, samples=10)
@@ -127,7 +126,7 @@ def test_compose_strong_equivalences():
 
 def test_compose_strong_equivalences_trivial():
     C = normalized_chains(sphere(1))
-    comp = compose_strong_equivalences(trivial_equivalence(C),
+    comp = compose_strong_equivalences(identity_reduction(C),
                                        trivial_equivalence(C))
     assert homology_groups(comp.middle, 1) == [Z, Z]
     rng = random.Random(2)
@@ -342,7 +341,7 @@ def test_cone_equipment_nontrivial_legs_on_both_sides():
     def equipment(apex):
         # C <= DblCyl => crit: h is nonzero on both legs
         red = morse_reduction(C, cone_field(X, apex))
-        return compose_strong_equivalences(trivial_equivalence(C),
+        return compose_strong_equivalences(identity_reduction(C),
                                            reduction_as_equivalence(red))
 
     eqX, eqY = equipment(0), equipment(1)
