@@ -117,6 +117,7 @@ class CCx:
         self._basis_fn = basis_fn
         self.name = name
         self._diff_cache = {}
+        self._basis_memo = {}
 
     def cell_dim(self, cell) -> int:
         return self._dim_fn(cell)
@@ -139,12 +140,16 @@ class CCx:
     def is_effective(self):
         return self._basis_fn is not None
 
-    def basis(self, k: int):
+    def basis(self, k: int) -> tuple:
+        """The degree-k basis, built once and shared as a tuple."""
         if self._basis_fn is None:
             raise TypeError(f"complex {self.name or self!r} has no basis enumeration")
         if k < 0:
-            return []
-        return list(self._basis_fn(k))
+            return ()
+        hit = self._basis_memo.get(k)
+        if hit is None:
+            hit = self._basis_memo[k] = tuple(self._basis_fn(k))
+        return hit
 
     def __repr__(self):
         return f"CCx({self.name})" if self.name else super().__repr__()
@@ -255,6 +260,12 @@ class TensorCell:
     parts: tuple          # basis elements of the factors
     dims: tuple           # their degrees
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.parts, self.dims)))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def degree(self):
         return sum(self.dims)
@@ -332,6 +343,12 @@ class Tag:
     """Tagged basis element for direct-sum-shaped complexes."""
     tag: str
     cell: Any
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.tag, self.cell)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"{self.tag}:{self.cell!r}"

@@ -26,9 +26,17 @@ from .simplicial import ProductSSet, RawSSet, Simplex, SMap, nondeg
 
 
 class EMSpace(RawSSet):
-    """K(pi,n) (kind "K") or E(pi,n) (kind "E")."""
+    """K(pi,n) (kind "K") or E(pi,n) (kind "E").
+
+    s_i pulls a cochain back along the codegeneracy that merges the
+    vertices i and i+1, so a raw simplex lies in the image of s_i exactly
+    when no label sits on a tuple holding both i and i+1, and every label
+    on a tuple holding one of them equals the label on the tuple with i
+    and i+1 swapped.  `raw_is_degenerate_at` tests this on the labels.
+    """
 
     def __init__(self, group: AbGroup, n: int, kind: str = "K", name=None):
+        super().__init__()
         self.group = group
         self.n = n
         self.kind = kind
@@ -42,8 +50,8 @@ class EMSpace(RawSSet):
             if t in acc:
                 v = self.group.add(acc[t], v)
             acc[t] = v
-        labels = tuple(sorted((t, v) for t, v in acc.items()
-                              if not self.group.is_zero(v)))
+        # every value is reduced already, so zero means all entries 0
+        labels = tuple(sorted((t, v) for t, v in acc.items() if any(v)))
         return (m, labels)
 
     def label(self, raw, t):
@@ -77,6 +85,22 @@ class EMSpace(RawSSet):
             else:
                 out.append((shifted, v))
         return self.make_raw(m + 1, out)
+
+    def raw_is_degenerate_at(self, i, raw):
+        j = i + 1
+        labels = dict(raw[1])
+        for t, v in raw[1]:
+            if i in t:
+                if j in t:
+                    return False
+                swapped = tuple(j if x == i else x for x in t)
+            elif j in t:
+                swapped = tuple(i if x == j else x for x in t)
+            else:
+                continue
+            if labels.get(swapped) != v:
+                return False
+        return True
 
     # -- abelian simplicial group structure -------------------------------
 

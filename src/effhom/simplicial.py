@@ -3,7 +3,11 @@
 Every simplex is stored as (base, degs): a nondegenerate base cell plus a
 strictly ascending tuple of degeneracy indices, standing for the composite
 s_{i_t} ... s_{i_1} base.  The encoding is unique, so equality and hashing
-are structural and the degeneracy test is O(1).
+are structural and the degeneracy test is O(1).  A cell computes its
+hash once, when it is built, so nested cells (pairs of pairs, tagged
+tensor cells) hash in O(1) however deep they are.  Each set memoizes the
+faces it has computed, and a set given by raw values memoizes `canon`; the
+memos live on the set and go with it.
 
 A simplicial set is a "black box": it only has to produce faces of its
 nondegenerate cells (in canonical form); faces and degeneracies of general
@@ -34,8 +38,14 @@ class Simplex:
     dim: int = 0              # dimension of the (possibly degenerate) simplex
 
     def __post_init__(self):
-        if list(self.degs) != sorted(set(self.degs)):
-            raise ValueError(f"degeneracy indices not strictly ascending: {self.degs}")
+        degs = self.degs
+        # one index is always ascending; longer words pay the full test
+        if len(degs) > 1 and list(degs) != sorted(set(degs)):
+            raise ValueError(f"degeneracy indices not strictly ascending: {degs}")
+        object.__setattr__(self, "_hash", hash((self.base, degs, self.dim)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def base_dim(self) -> int:
@@ -59,10 +69,14 @@ class SimplicialSet:
     """Base class: subclasses provide faces of nondegenerate cells.
 
     `finite` tells whether the nondegenerate cells of each dimension can be
-    listed (by `cells(d)`); it follows from the type of the set.
+    listed (by `cells(d)`); it follows from the type of the set.  A
+    subclass calls `super().__init__()`, which creates the face memo.
     """
 
     finite = False
+
+    def __init__(self):
+        self._face_memo = {}
 
     def base_face(self, i: int, base) -> Simplex:
         """d_i of the nondegenerate cell `base`, in canonical form."""
@@ -71,6 +85,13 @@ class SimplicialSet:
     # -- generic operator calculus ----------------------------------------
 
     def face(self, i: int, s: Simplex) -> Simplex:
+        key = (i, s)
+        hit = self._face_memo.get(key)
+        if hit is None:
+            hit = self._face_memo[key] = self._face(i, s)
+        return hit
+
+    def _face(self, i: int, s: Simplex) -> Simplex:
         if s.dim < 1 or not (0 <= i <= s.dim):
             raise IndexError(f"face index {i} out of range for dim {s.dim}")
         outer = []          # degeneracies surviving on the outside
@@ -122,6 +143,7 @@ class FinSSet(SimplicialSet):
     finite = True
 
     def __init__(self, cells, faces, name=None):
+        super().__init__()
         self._cells = {int(d): list(cs) for d, cs in cells.items()}
         self._faces = dict(faces)
         self._dims = {}
@@ -250,6 +272,12 @@ class PairCell:
     a: Simplex
     b: Simplex
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.a, self.b)))
+
+    def __hash__(self):
+        return self._hash
+
     def __repr__(self):
         return f"({self.a!r},{self.b!r})"
 
@@ -258,6 +286,7 @@ class ProductSSet(SimplicialSet):
     """Cartesian product X x Y; m-simplices are pairs of m-simplices."""
 
     def __init__(self, X, Y):
+        super().__init__()
         self.X = X
         self.Y = Y
 
@@ -339,8 +368,15 @@ class RawSSet(SimplicialSet):
 
     Subclasses implement raw_dim / raw_face / raw_degeneracy on raw values
     (defined on *all* simplices, degenerate or not); canonical encoding is
-    recovered by stripping degeneracies via the s_i d_i fixed-point test.
+    recovered by stripping degeneracies.  raw is s_i of something exactly
+    when s_i d_i raw == raw; `raw_is_degenerate_at` runs that fixed-point
+    test, and a subclass may replace it by an equivalent test on its own
+    raw values.
     """
+
+    def __init__(self):
+        super().__init__()
+        self._canon_memo = {}
 
     def raw_dim(self, raw) -> int:
         raise NotImplementedError
@@ -351,12 +387,21 @@ class RawSSet(SimplicialSet):
     def raw_degeneracy(self, i, raw):
         raise NotImplementedError
 
+    def raw_is_degenerate_at(self, i, raw) -> bool:
+        """Whether raw lies in the image of s_i."""
+        return self.raw_degeneracy(i, self.raw_face(i, raw)) == raw
+
     def canon(self, raw) -> Simplex:
+        hit = self._canon_memo.get(raw)
+        if hit is None:
+            hit = self._canon_memo[raw] = self._canon(raw)
+        return hit
+
+    def _canon(self, raw) -> Simplex:
         m = self.raw_dim(raw)
         for i in range(m):
-            f = self.raw_face(i, raw)
-            if self.raw_degeneracy(i, f) == raw:
-                return self.degeneracy(i, self.canon(f))
+            if self.raw_is_degenerate_at(i, raw):
+                return self.degeneracy(i, self.canon(self.raw_face(i, raw)))
         return Simplex(raw, (), m)
 
     def uncanon(self, s: Simplex):

@@ -4,9 +4,11 @@ import hashlib
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import effhom.cli
+from effhom.em import EMSpace, _delta_raw
 from effhom.reduction import check_reduction, random_chain
 from effhom.simplicial import from_facets
 from effhom.smith import SNF, IntMatrix
@@ -22,6 +24,24 @@ TORUS_FACETS = [tuple(sorted(((i) % 7, (i + 1) % 7, (i + 3) % 7)))
                 for i in range(7)] + \
                [tuple(sorted(((i) % 7, (i + 2) % 7, (i + 3) % 7)))
                 for i in range(7)]
+
+
+def random_cochain_raw(space, m, rng, density=0.5):
+    """Random raw simplex of E(pi,n)."""
+    items = []
+    for t in combinations(range(m + 1), space.n + 1):
+        if rng.random() < density:
+            items.append((t, tuple(rng.randint(-4, 4)
+                                   for _ in range(space.group.ngens))))
+    return space.make_raw(m, items)
+
+
+def random_cocycle_raw(space, m, rng, density=0.5):
+    """Random raw simplex of K(pi,n), as a coboundary from one level down."""
+    if space.n == 0:
+        return random_cochain_raw(space, m, rng, density)
+    lower = EMSpace(space.group, space.n - 1, "E")
+    return _delta_raw(lower, random_cochain_raw(lower, m, rng, density))
 
 
 # directory holding the `effhom` package this process imported (`src/`);

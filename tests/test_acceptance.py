@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
+from effhom.abgroup import AbGroup, Z, cyclic
 from effhom.chains import homology_groups, normalized_chains
 from effhom.reduction import (check_reduction, equipped_homology,
                               trivial_equipment)

@@ -97,7 +97,7 @@ def test_suspended_ideal_equivalence_homology():
     unit = kz1.obj.zero_simplex(0)
     Abar, eq = suspended_ideal_equivalence(kz1.eq, unit)
     E = eq.small
-    assert E.basis(0) == [] and E.basis(1) == []
+    assert E.basis(0) == () and E.basis(1) == ()
     assert len(E.basis(2)) == 1
     assert_dd_zero(E, 4)
     # transport: the effective degree-2 cell pulls back to a cycle of Abar

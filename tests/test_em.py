@@ -10,26 +10,7 @@ from effhom.em import (EMSpace, _cell_from_bars, cochain_to_map, cone_raw,
                        raw_to_potential, twisting_tau)
 from effhom.reduction import equipped_homology
 from effhom.simplicial import nondeg, standard_simplex
-
-
-def random_cochain_raw(space, m, rng, density=0.5):
-    """Random raw simplex of E(pi,n)."""
-    from itertools import combinations
-    items = []
-    for t in combinations(range(m + 1), space.n + 1):
-        if rng.random() < density:
-            items.append((t, tuple(rng.randint(-4, 4)
-                                   for _ in range(space.group.ngens))))
-    return space.make_raw(m, items)
-
-
-def random_cocycle_raw(space, m, rng, density=0.5):
-    """Random raw simplex of K(pi,n), as a coboundary from one level down."""
-    from effhom.em import _delta_raw
-    if space.n == 0:
-        return random_cochain_raw(space, m, rng, density)
-    lower = EMSpace(space.group, space.n - 1, "E")
-    return _delta_raw(lower, random_cochain_raw(lower, m, rng, density))
+from helpers import random_cochain_raw, random_cocycle_raw
 
 
 def test_face_degeneracy_examples():

@@ -1,20 +1,16 @@
 import random
 from math import comb
 
-import pytest
-
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP
-from effhom.chains import (Chain, normalized_chains, homology_groups, tensor,
+from effhom.chains import (Chain, normalized_chains, homology_groups,
                            tensor_of_chains)
-from effhom.ez import (aw, eml, ez_reduction, product_equivalence,
+from effhom.ez import (ez_reduction, product_equivalence,
                        tensor_of_equivalences, tensor_of_reductions)
 from effhom.reduction import (equipped_homology, identity_reduction,
                               random_chain, reduction_as_equivalence,
                               trivial_equipment, trivial_equivalence)
-from effhom.simplicial import (from_facets, nondeg, product, sphere,
-                               standard_simplex)
-from helpers import (assert_chain_map, assert_dd_zero,
-                     assert_reduction_axioms, rp2)
+from effhom.simplicial import nondeg, product, sphere, standard_simplex
+from helpers import assert_chain_map, assert_reduction_axioms, rp2
 
 
 def test_aw_low_degrees():

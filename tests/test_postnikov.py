@@ -14,7 +14,7 @@ from effhom.postnikov import (build_tower, evaluate_k_invariant, evaluate_phi,
 from effhom.reduction import cone_equipment, trivial_equipment
 from effhom.simplicial import FinSSet, Simplex, from_facets, nondeg, sphere
 from effhom.smith import smith_normal_form
-from helpers import RP2_FACETS, tower_fingerprint
+from helpers import RP2_FACETS, random_cocycle_raw, tower_fingerprint
 
 
 def equip(X, name):
@@ -116,6 +116,48 @@ def test_k_invariant_is_simplicial():
         for i in range(3):
             assert st.k_invariant(P2.face(i, sigma)) == \
                 st.K_space.face(i, img)
+
+
+def minimal_sphere(n):
+    """S^n as one vertex and one n-cell whose faces all collapse to it
+    (the `minimal_sphere` input of perfbench/inputs.py)."""
+    collapsed = (Simplex("v", tuple(range(n - 1)), n - 1),) * (n + 1)
+    return FinSSet({0: ["v"], n: ["c"]}, {"c": collapsed})
+
+
+@pytest.fixture
+def own_caches(monkeypatch):
+    """Keep the towers and Eilenberg-MacLane equipment a test builds to the
+    test, so that they are freed when it ends and do not weigh on the
+    garbage collector for the rest of the run."""
+    monkeypatch.setattr("effhom.postnikov._tower_cache", {})
+    monkeypatch.setattr("effhom.em._em_cache", {})
+
+
+def test_k4_of_s3_is_simplicial(own_caches):
+    T = build_tower(equip(minimal_sphere(3), "C(S3)"), 5)
+    P2, P3, P4 = (T.stage(i).P_i.obj for i in (2, 3, 4))
+    st = T.stage(5)
+    # the totally degenerate 6-simplex on the vertex of P_2
+    base = P2.apply_degeneracies(T.stage(2).phi_i(nondeg("v", 0)), range(6))
+    rng = random.Random(1)
+    for _ in range(2):
+        # a3 = delta of a Z 2-cochain, a4 = delta of a Z/2 3-cochain
+        a3 = P3.X.canon(random_cocycle_raw(P3.X, 6, rng, density=0.3))
+        a4 = P4.X.canon(random_cocycle_raw(P4.X, 6, rng, density=0.3))
+        sigma = P4.pair(a4, P3.pair(a3, base))
+        img = evaluate_k_invariant(T, 5, sigma)
+        for j in range(7):
+            assert st.k_invariant(P4.face(j, sigma)) == \
+                st.K_space.face(j, img)
+
+
+def test_pi6_s3_is_z12(own_caches):
+    # Toda: the first homotopy group of S^3 with an element of order > 2
+    T = build_tower(equip(minimal_sphere(3), "C(S3)"), 6)
+    assert [T.stage(i).pi_i for i in range(1, 7)] == \
+        [ZERO_GROUP, ZERO_GROUP, Z, cyclic(2), cyclic(2), cyclic(12)]
+    assert all(verify_tower(T).values())
 
 
 def test_corrupted_kappa_fails_verification():
@@ -239,13 +281,12 @@ def test_projected_class_matches_kernel_projection(X):
 
 
 
-def test_division_asserts_the_zero_small_perturbation(monkeypatch):
+def test_division_asserts_the_zero_small_perturbation(monkeypatch,
+                                                      own_caches):
     """Twisted division relies on the induced perturbation on C(B) being
     zero.  A bar contraction whose f also keeps the one-letter words with a
     non-unit algebra coordinate breaks that, and the tower must refuse it."""
     import effhom.bar as bar
-    import effhom.em as em
-    import effhom.postnikov as pk
     from effhom.chains import ChainMap
     from effhom.reduction import Reduction
 
@@ -264,8 +305,6 @@ def test_division_asserts_the_zero_small_perturbation(monkeypatch):
                          red.g, red.h)
 
     monkeypatch.setattr(bar, "bar_inverse_reduction", leaky_inverse)
-    monkeypatch.setattr(em, "_em_cache", {})
-    monkeypatch.setattr(pk, "_tower_cache", {})
     # stages 2 and 3 never hand f a one-letter word with a non-unit
     # algebra coordinate; building stage 4 (pi_4 = Z/2) does
     with pytest.raises(AssertionError, match="induced perturbation"):

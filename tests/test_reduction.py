@@ -4,9 +4,8 @@ import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP
 from effhom.chains import (CCx, Chain, ChainMap, TensorCell, homology_groups,
-                           identity_chain_map, normalized_chains, tensor,
-                           z_complex)
-from effhom.reduction import (Equipped, Reduction, StrongEq,
+                           normalized_chains, tensor, z_complex)
+from effhom.reduction import (Equipped, StrongEq,
                               basic_perturbation, compose_reductions,
                               compose_strong_equivalences, easy_perturbation,
                               equipped_homology, identity_reduction,

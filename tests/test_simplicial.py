@@ -1,6 +1,4 @@
 import random
-from itertools import combinations
-from math import comb
 
 import pytest
 

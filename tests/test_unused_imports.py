@@ -1,4 +1,4 @@
-"""Every name a module of effhom imports is used in that module."""
+"""Every name a module of effhom or of its tests imports is used there."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,8 @@ import pytest
 import effhom.cli
 
 SRC = Path(effhom.cli.__file__).parent
-MODULES = sorted(SRC.glob("*.py"))
+TESTS = Path(__file__).parent
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def _annotations(tree):
@@ -43,7 +44,8 @@ def unused_imports(source: str):
 
 
 def test_modules_are_found():
-    assert {p.stem for p in MODULES} >= {"cli", "em", "ez", "reduction"}
+    assert {p.stem for p in MODULES} >= {"cli", "em", "ez", "reduction",
+                                         "helpers", "test_em"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
