@@ -15,7 +15,8 @@ import sys
 import warnings
 
 from .chains import homology_groups, normalized_chains
-from .reduction import check_reduction, trivial_equipment
+from .reduction import (check_reduction, collapse_equipment,
+                        trivial_equipment)
 from .simplicial import FinSSet, Simplex, from_facets, nondeg, sphere
 from .smith import IntMatrix, smith_normal_form
 
@@ -163,7 +164,8 @@ def cmd_homology(args) -> int:
         raise InputError("--max-dim must be at least 0")
     X = parse_input(args.file)
     d = args.max_dim if args.max_dim is not None else X.top_dim
-    groups = homology_groups(normalized_chains(X), d)
+    Y = collapse_equipment(X, normalized_chains(X))
+    groups = homology_groups(Y.effective, d)
     rendered = [g.render() for g in groups]
     _emit(args, [", ".join(rendered)],
           {"command": "homology", "input": args.file,
@@ -201,12 +203,15 @@ def _check_connected(X: FinSSet):
 def _file_tower(args):
     """Equip the input and build its tower; the tower is None on refusal.
 
-    Empty or disconnected input is refused, and so is input whose
-    stage-1 group H_1 is not trivial; the reason goes to stderr.
+    The input is equipped with the critical cells of a greedy collapse
+    (`collapse_equipment`), so each stage's effective cone carries those
+    instead of all of C(X).  Empty or disconnected input is refused, and
+    so is input whose stage-1 group H_1 is not trivial; the reason goes
+    to stderr.
     """
     from .postnikov import build_tower
     X = parse_input(args.file)
-    Y = trivial_equipment(X, normalized_chains(X, name=f"C({args.file})"))
+    Y = collapse_equipment(X, normalized_chains(X, name=f"C({args.file})"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -308,9 +313,14 @@ def _suite_reduction_axioms(seed, samples):
            trivial_equipment(S2, normalized_chains(S2, name="C(S2)"))]
     torus = product_equivalence([eqs[0], eqs[0]])
     prod = product_equivalence(eqs)
+    S3 = sphere(3)
+    collapse2 = collapse_equipment(S2, eqs[1].chains)
+    collapse3 = collapse_equipment(S3, normalized_chains(S3, name="C(S3)"))
     for name, red in (("torus EZ right leg", torus.eq.right),
                       ("torus EZ left leg", torus.eq.left),
-                      ("S1xS2 EZ right leg", prod.eq.right)):
+                      ("S1xS2 EZ right leg", prod.eq.right),
+                      ("collapse of S2", collapse2.eq.right),
+                      ("collapse of S3", collapse3.eq.right)):
         broken = check_reduction(red, 4, rng, samples)
         checks.append((f"reduction axioms: {name}"
                        + (f" [{broken}]" if broken else ""), broken is None))

@@ -10,6 +10,7 @@ by composing and perturbing these.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .chains import (CCx, Chain, ChainMap, ConeCCx, Tag, compose_chain_maps,
@@ -333,40 +334,58 @@ def morse_reduction(C: CCx, field, name=None) -> Reduction:
     ("s", tau) when the cell is a source paired with target tau, and
     ("t", sigma) when it is the target paired with source sigma.  The
     pairing must be admissible: the coefficient of sigma in d(tau) is
-    +-1 and the induced flow terminates.
+    +-1 and the induced flow terminates.  The flow is walked with an
+    explicit stack, so a long gradient path costs no recursion depth, and
+    a flow that returns to a cell it is still resolving is refused.
     """
     h_cache = {}
 
-    def h_cell(cell):
-        hit = h_cache.get(cell)
-        if hit is not None:
-            return hit
+    def flow_step(cell):
+        """(eps, tau, rest of d(tau)) for a source cell, else None."""
         cls = field(cell)
         if cls is None or cls[0] == "t":
-            out = Chain.zero(C.cell_dim(cell) + 1)
-        else:
-            tau = cls[1]
-            dtau = C.diff_cell(tau)
-            eps = dtau.coeff(cell)
-            if eps not in (1, -1):
-                raise ValueError(
-                    f"inadmissible pairing: incidence {eps} of {cell!r} in d({tau!r})")
-            rest = dtau - Chain.single(cell, dtau.degree, eps)
-            out = eps * (Chain.single(tau, C.cell_dim(tau)) - h_chain(rest))
-        h_cache[cell] = out
-        return out
+            return None
+        tau = cls[1]
+        dtau = C.diff_cell(tau)
+        eps = dtau.coeff(cell)
+        if eps not in (1, -1):
+            raise ValueError(
+                f"inadmissible pairing: incidence {eps} of {cell!r} in d({tau!r})")
+        return eps, tau, [(c, v) for c, v in dtau.items() if c != cell]
 
-    def h_chain(chain):
-        out = Chain(chain.degree + 1)
-        for cell, c in chain.items():
-            for icell, ic in h_cell(cell).items():
-                out._add(icell, c * ic)
-        return out
+    def h_cell(cell):
+        # h(sigma) = eps (tau - h(d tau - eps sigma)) for a source sigma
+        stack, waiting = [cell], {}    # waiting: sources whose faces are resolving
+        while stack:
+            top = stack[-1]
+            if top in h_cache:
+                stack.pop()
+                continue
+            step = waiting.get(top) or flow_step(top)
+            if step is None:
+                h_cache[top] = Chain.zero(C.cell_dim(top) + 1)
+                stack.pop()
+                continue
+            eps, tau, rest = step
+            pending = [c for c, _ in rest if c not in h_cache]
+            if pending:
+                if any(c in waiting for c in pending):
+                    raise ValueError(f"the flow of the field cycles through {top!r}")
+                waiting[top] = step
+                stack.extend(pending)
+                continue
+            out = Chain.single(tau, C.cell_dim(tau), eps)
+            for c, v in rest:
+                for icell, ic in h_cache[c].items():
+                    out._add(icell, -eps * v * ic)
+            h_cache[top] = out
+            stack.pop()
+        return h_cache[cell]
 
     h = ChainMap(C, C, h_cell, shift=1)
 
     def p_chain(chain):
-        return chain - C.diff(h_chain(chain)) - h_chain(C.diff(chain))
+        return chain - C.diff(h(chain)) - h(C.diff(chain))
 
     def crit_part(chain):
         out = Chain(chain.degree)
@@ -375,27 +394,19 @@ def morse_reduction(C: CCx, field, name=None) -> Reduction:
                 out._add(cell, c)
         return out
 
-    def g_cell(cell):
-        return p_chain(Chain.single(cell, C.cell_dim(cell)))
-
-    def f_cell(cell):
-        return crit_part(p_chain(Chain.single(cell, C.cell_dim(cell))))
-
     basis_fn = None
     if C.is_effective:
         def basis_fn(k):
             return [c for c in C.basis(k) if field(c) is None]
-
-    g = ChainMap(None, C, g_cell)     # source patched below
 
     def small_diff(cell):
         return crit_part(C.diff(g.on_cell(cell)))
 
     small = CCx(C.cell_dim, small_diff, basis_fn,
                 name=name or (f"{C.name}crit" if C.name else "crit"))
-    g.source = small
-    g.target = C
-    f = ChainMap(C, small, f_cell)
+    g = ChainMap(small, C, lambda c: p_chain(Chain.single(c, C.cell_dim(c))))
+    f = ChainMap(C, small,
+                 lambda c: crit_part(p_chain(Chain.single(c, C.cell_dim(c)))))
     return Reduction(C, small, f, g, h, name=name)
 
 
@@ -424,6 +435,75 @@ class Equipped:
 def trivial_equipment(obj, C: CCx) -> Equipped:
     """A finite complex is equipped with itself via identity reductions."""
     return Equipped(obj, C, trivial_equivalence(C))
+
+
+def collapse_field(C: CCx, top_dim: int) -> dict:
+    """A greedy acyclic matching on C in degrees 0..top_dim, by collapses.
+
+    The result maps a source sigma to ("s", tau) and its target tau to
+    ("t", sigma); critical cells are absent.  A live cell sigma whose only
+    live coface is tau, with incidence exactly +-1 in d(tau), is paired
+    with tau, and both leave.  When no cell is free, the first live cell
+    of the highest live degree becomes critical and leaves.  Free cells
+    are queued in basis order, lowest degree first, and queued again as
+    their cofaces leave, so the matching does not depend on the hash
+    seed.  A triangulated 2-sphere keeps one critical vertex and one
+    critical triangle, whatever its size.
+
+    The matching is acyclic, so the flow of `morse_reduction` ends.  Let
+    (sigma_k, tau_k) be the k-th pair removed.  A face of tau_k other
+    than sigma_k cannot already have been removed as a source: at that
+    earlier step tau_k was live, so the face had a second live coface
+    besides its partner.  Along a gradient path sigma_k, tau_k, sigma', ...
+    the removal steps rise strictly, and no path closes.
+    """
+    by_degree = [C.basis(k) for k in range(top_dim + 1)]
+    cells = [c for cs in by_degree for c in cs]
+    cofaces = {c: {} for c in cells}
+    for tau in cells:
+        for sigma, eps in C.diff_cell(tau).items():
+            cofaces[sigma][tau] = eps
+    live = set(cells)
+    n_live = {c: len(up) for c, up in cofaces.items()}
+    first_live = [0] * len(by_degree)   # degree-k cells before it have left
+    field = {}
+    queue = deque(cells)
+
+    def remove(cell):
+        live.remove(cell)
+        for face in C.diff_cell(cell).terms:
+            n_live[face] -= 1
+            if n_live[face] == 1:
+                queue.append(face)
+
+    def first_of_top_degree():
+        for k in reversed(range(len(by_degree))):
+            cs = by_degree[k]
+            while first_live[k] < len(cs) and cs[first_live[k]] not in live:
+                first_live[k] += 1
+            if first_live[k] < len(cs):
+                return cs[first_live[k]]
+
+    while live:
+        while queue:
+            sigma = queue.popleft()
+            if sigma not in live or n_live[sigma] != 1:
+                continue
+            tau = next(t for t in cofaces[sigma] if t in live)
+            if cofaces[sigma][tau] in (1, -1):
+                field[sigma], field[tau] = ("s", tau), ("t", sigma)
+                remove(sigma)
+                remove(tau)
+        if live:
+            remove(first_of_top_degree())
+    return field
+
+
+def collapse_equipment(X, C: CCx) -> Equipped:
+    """Equip the chains C of a finite simplicial set X with the Morse
+    reduction onto the critical cells of `collapse_field`."""
+    field = collapse_field(C, X.top_dim)
+    return Equipped(X, C, reduction_as_equivalence(morse_reduction(C, field.get)))
 
 
 class EquippedHomology:

@@ -49,21 +49,35 @@ def random_cocycle_raw(space, m, rng, density=0.5):
 SRC_DIR = Path(effhom.cli.__file__).resolve().parents[1]
 
 
-def run_cli(args, hashseed):
-    """Run `python -m effhom.cli ARGS` in a fresh process; return its stdout.
+def run_python(args, hashseed):
+    """Run `python ARGS` in a fresh process; return its stdout.
 
     The child sees only PYTHONHASHSEED and PATH, and finds `effhom` through
     its working directory, so it runs the same source as this process and
     inherits no PYTHONPATH or hash seed from it.
     """
     out = subprocess.run(
-        [sys.executable, "-m", "effhom.cli", *args],
-        capture_output=True, cwd=SRC_DIR,
+        [sys.executable, *args], capture_output=True, cwd=SRC_DIR,
         env={"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"})
     assert out.returncode == 0, (
-        f"effhom {' '.join(args)} exited {out.returncode}:\n"
+        f"python {' '.join(args)} exited {out.returncode}:\n"
         f"{out.stderr.decode(errors='replace')}")
     return out.stdout
+
+
+def run_cli(args, hashseed):
+    """Run `python -m effhom.cli ARGS` in a fresh process; return its stdout."""
+    return run_python(["-m", "effhom.cli", *args], hashseed)
+
+
+def stacked_sphere(vertices, seed):
+    """Stacked 2-sphere: stellar subdivisions of seeded facets of a tetrahedron."""
+    rng = random.Random(seed)
+    facets = list(combinations(range(4), 3))
+    for v in range(4, vertices):
+        a, b, c = facets.pop(rng.randrange(len(facets)))
+        facets += [(a, b, v), (a, c, v), (b, c, v)]
+    return from_facets(facets)
 
 
 def tower_fingerprint(T):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from effhom.chains import homology_groups, normalized_chains
 from effhom.cli import (InputError, main, parse_document, serialize_sset)
-from helpers import RP2_FACETS, run_cli
+from helpers import RP2_FACETS, run_cli, stacked_sphere
 
 S2_DOC = {"kind": "facets", "facets": [[0, 1, 2], [0, 1, 3],
                                        [0, 2, 3], [1, 2, 3]]}
@@ -219,6 +219,13 @@ def test_cmd_verify_suites(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
 
 
+def test_verify_reduction_axioms_covers_the_collapses(capsys):
+    assert main(["verify", "--suite", "reduction-axioms",
+                 "--samples", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "collapse of S2: pass" in out and "collapse of S3: pass" in out
+
+
 def test_verify_seed_change_keeps_pass(capsys):
     assert main(["verify", "--suite", "smith", "--seed", "7",
                  "--samples", "10"]) == 0
@@ -230,3 +237,14 @@ def test_pi_json_byte_identical_across_processes(tmp_path):
                      "--json"], seed) for seed in ("1", "2")]
     assert runs[0] == runs[1]
     assert json.loads(runs[0])["groups"] == ["Z", "Z"]
+
+
+def test_postnikov_eval_byte_identical_across_hash_seeds(tmp_path):
+    # cells named by strings, whose hashes change with the hash seed
+    doc = serialize_sset(stacked_sphere(24, 5))
+    path = write_doc(tmp_path, doc)
+    triangle = doc["cells"]["2"][7]
+    runs = [run_cli(["postnikov", path, "--k", "3", "--eval",
+                     f"3:{triangle}"], seed) for seed in ("0", "1")]
+    assert runs[0] == runs[1]
+    assert runs[0].startswith(f"phi_3({triangle}) = ".encode())

@@ -1,20 +1,21 @@
 import random
 import warnings
-from itertools import combinations
 
 import pytest
 import sympy
 
-from effhom.abgroup import Z, ZERO_GROUP, cyclic
+from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
 from effhom.chains import (Chain, complex_homology, diff_matrix,
                            homology_groups, induced_chain_map,
                            normalized_chains)
 from effhom.postnikov import (build_tower, evaluate_k_invariant, evaluate_phi,
                               homotopy_group, point_space, verify_tower)
-from effhom.reduction import cone_equipment, trivial_equipment
+from effhom.reduction import (collapse_equipment, cone_equipment,
+                              trivial_equipment)
 from effhom.simplicial import FinSSet, Simplex, from_facets, nondeg, sphere
 from effhom.smith import smith_normal_form
-from helpers import RP2_FACETS, random_cocycle_raw, tower_fingerprint
+from helpers import (RP2_FACETS, random_cocycle_raw, stacked_sphere,
+                     tower_fingerprint)
 
 
 def equip(X, name):
@@ -224,14 +225,26 @@ def test_tower_fingerprint_is_pinned(name, X, k):
     assert tower_fingerprint(T) == TOWER_DIGESTS[name]
 
 
-def stacked_sphere(vertices, seed):
-    """Stacked 2-sphere: stellar subdivisions of seeded facets of a tetrahedron."""
-    rng = random.Random(seed)
-    facets = list(combinations(range(4), 3))
-    for v in range(4, vertices):
-        a, b, c = facets.pop(rng.randrange(len(facets)))
-        facets += [(a, b, v), (a, c, v), (b, c, v)]
-    return from_facets(facets)
+# two boundaries of tetrahedra sharing the vertex 0
+TWO_SPHERES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+               (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)]
+
+
+@pytest.mark.parametrize("X, k, groups", [
+    (stacked_sphere(24, 3), 3, [ZERO_GROUP, Z, Z]),
+    (sphere(3), 4, [ZERO_GROUP, ZERO_GROUP, Z, cyclic(2)]),
+    (from_facets(TWO_SPHERES), 3, [ZERO_GROUP, AbGroup((0, 0)),
+                                   AbGroup((0, 0, 0))]),
+], ids=["stacked24", "S3", "S2vS2"])
+def test_collapsed_tower_matches_the_trivial_one(own_caches, X, k, groups):
+    Y = collapse_equipment(X, normalized_chains(X, name="C(Y)"))
+    T = build_tower(Y, k)
+    trivial = build_tower(equip(X, "C(Y)"), k)
+    assert [st.pi_i for st in T.stages] == groups
+    assert [st.pi_i for st in trivial.stages] == groups
+    assert sum(len(Y.effective.basis(d)) for d in range(X.top_dim + 1)) \
+        < sum(len(Y.chains.basis(d)) for d in range(X.top_dim + 1))
+    assert all(verify_tower(T).values())
 
 
 def projected_classes(EC, degree):
