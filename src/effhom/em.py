@@ -7,8 +7,10 @@ pi-element); faces and degeneracies act by pulling back cochains along
 the coface/codegeneracy vertex maps.  On top of the models live the
 fibration delta: E(pi,n) -> K(pi,n+1), its twisting operator tau and
 pseudo-section psi, the path fibration K(pi,n) -> E(pi,n) -> K(pi,n+1)
-on the standard models with its contraction, and the equipment
-constructors for K(Z,1), K(Z/m,1) and general K(pi,n).
+on the standard models with its contraction, and the equipment of
+K(pi,n): K(Z,1) by collapse, K(Z/m,1) by a quotient fibration, a cyclic
+K(pi,n+1) by dividing the path fibration, and, at every n, a pi with two
+or more cyclic factors as the product of the K(Z/m_j,n).
 """
 
 from __future__ import annotations
@@ -417,29 +419,10 @@ def kzm1_equivalence(m: int) -> Equipped:
     return twisted_division(kz1, total, tau, Bm, CB=CB)
 
 
-def _split_raw(space: EMSpace, raw, j, sub: EMSpace):
-    """Project a raw simplex of K(pi,n) to its j-th cyclic component."""
-    m, labels = raw
-    return sub.make_raw(m, [(t, (v[j],)) for t, v in labels])
-
-
-def _merge_raws(space: EMSpace, raws):
-    """Assemble a raw simplex of K(pi,n) from per-component raws."""
-    m = raws[0][0]
-    items = {}
-    for j, raw in enumerate(raws):
-        for t, v in raw[1]:
-            cur = items.get(t)
-            if cur is None:
-                cur = list(space.group.zero())
-                items[t] = cur
-            cur[j] = v[0]
-    return space.make_raw(m, [(t, tuple(v)) for t, v in items.items()])
-
-
 def _em1_equivalence(pi: AbGroup) -> Equipped:
-    K = EMSpace(pi, 1)
+    """Equip K(pi,1) for a trivial or cyclic pi."""
     if pi.ngens == 0:
+        K = EMSpace(pi, 1)
         C = normalized_chains(K, name="C(K(0,1))")
         Zc = z_complex()
         red = iso_as_reduction(
@@ -447,40 +430,54 @@ def _em1_equivalence(pi: AbGroup) -> Equipped:
             ChainMap(C, Zc, lambda c: Chain.single("*", 0)),
             ChainMap(Zc, C, lambda c: Chain.single(K.zero_simplex(0), 0)))
         return Equipped(K, C, reduction_as_equivalence(red))
-    if pi.ngens == 1:
-        return kz1_equivalence() if pi.mm[0] == 0 else kzm1_equivalence(pi.mm[0])
+    return kz1_equivalence() if pi.mm[0] == 0 else kzm1_equivalence(pi.mm[0])
 
-    subs = [EMSpace(AbGroup((mj,)), 1) for mj in pi.mm]
-    factors = [kz1_equivalence() if mj == 0 else kzm1_equivalence(mj)
-               for mj in pi.mm]
-    prod = product_equivalence(factors)
 
-    def embed(sset, js, raws):
-        if isinstance(sset, ProductSSet) and len(js) > 1:
-            a = embed(sset.X, js[:1], raws)
-            b = embed(sset.Y, js[1:], raws)
-            return sset.pair(a, b)
-        return sset.canon(raws[js[0]])
+def split_maps(K: EMSpace, P):
+    """The isomorphisms split: K(pi,n) -> P and merge: P -> K(pi,n).
+
+    P is the right-associated product of the models K(Z/m_j,n) of the
+    cyclic factors of pi.  split sends a cocycle to its pi-coordinates,
+    one per factor, and merge assembles them back.
+    """
+    prods = [P]
+    while isinstance(prods[-1].Y, ProductSSet):
+        prods.append(prods[-1].Y)
+    spaces = [Q.X for Q in prods] + [prods[-1].Y]
 
     def fwd_base(raw):
-        raws = [_split_raw(K, raw, j, subs[j]) for j in range(len(subs))]
-        return embed(prod.obj, list(range(len(subs))), raws)
-
-    def components_of(sset, s):
-        if isinstance(sset, ProductSSet):
-            a, b = sset.components(s)
-            return [(sset.X, a)] + components_of(sset.Y, b)
-        return [(sset, s)]
+        m, labels = raw
+        cells = [S.canon(S.make_raw(m, [(t, (v[j],)) for t, v in labels]))
+                 for j, S in enumerate(spaces)]
+        out = cells.pop()
+        for Q, c in zip(reversed(prods), reversed(cells)):
+            out = Q.pair(c, out)
+        return out
 
     def bwd_base(base):
-        s = prod.obj.simplex(base)
-        comps = components_of(prod.obj, s)
-        raws = [space.uncanon(cs) for space, cs in comps]
-        return K.canon(_merge_raws(K, raws))
+        s, cells = P.simplex(base), []
+        for Q in prods:
+            c, s = Q.components(s)
+            cells.append(c)
+        items = {}
+        for j, (S, c) in enumerate(zip(spaces, cells + [s])):
+            for t, v in S.uncanon(c)[1]:
+                items.setdefault(t, list(K.group.zero()))[j] = v[0]
+        return K.canon(K.make_raw(P.dim_of(base),
+                                  [(t, tuple(v)) for t, v in items.items()]))
 
-    fwd = SMap(K, prod.obj, fwd_base, name="split")
-    bwd = SMap(prod.obj, K, bwd_base, name="merge")
-    C = normalized_chains(K, name=f"C(K({pi.render()},1))")
+    return (SMap(K, P, fwd_base, name="split"),
+            SMap(P, K, bwd_base, name="merge"))
+
+
+def _split_equivalence(pi: AbGroup, n: int) -> Equipped:
+    """Equip K(pi,n) as the product of the K(Z/m_j,n) of its cyclic factors,
+    conjugated through `split_maps`."""
+    K = EMSpace(pi, n)
+    prod = product_equivalence(em_equivalence(AbGroup((mj,)), n)
+                               for mj in pi.mm)
+    fwd, bwd = split_maps(K, prod.obj)
+    C = normalized_chains(K, name=f"C(K({pi.render()},{n}))")
     eq = conjugate_big(prod.eq, iso_as_reduction(
         prod.chains, C,
         induced_chain_map(bwd, prod.chains, C),
@@ -544,13 +541,24 @@ _em_cache = {}
 
 
 def em_equivalence(pi: AbGroup, n: int) -> Equipped:
-    """Equipped standard model K(pi,n) for a finitely generated abelian pi."""
+    """Equipped standard model K(pi,n) for a finitely generated abelian pi.
+
+    A pi with two or more cyclic factors is equipped, at every n, as the
+    product of the K(Z/m_j,n) (`_split_equivalence`).  A cyclic or trivial
+    pi is equipped by `_em1_equivalence` at n = 1 and by dividing the path
+    fibration (`_em_step`) at n >= 2.
+    """
     if n < 1:
         raise ValueError("em_equivalence needs n >= 1")
     key = (pi.mm, n)
     hit = _em_cache.get(key)
     if hit is not None:
         return hit
-    out = _em1_equivalence(pi) if n == 1 else _em_step(em_equivalence(pi, n - 1))
+    if pi.ngens > 1:
+        out = _split_equivalence(pi, n)
+    elif n == 1:
+        out = _em1_equivalence(pi)
+    else:
+        out = _em_step(em_equivalence(pi, n - 1))
     _em_cache[key] = out
     return out

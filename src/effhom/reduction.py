@@ -143,14 +143,6 @@ def compose_strong_equivalences(r: Reduction, eq: StrongEq) -> StrongEq:
 
     D = CCx(dim_fn, diff_cell, basis_fn, name="DblCyl")
 
-    def split(chain):
-        a = Chain(chain.degree)
-        c = Chain(chain.degree - 1)
-        p = Chain(chain.degree)
-        for cell, v in chain.items():
-            (a if cell.tag == "a" else c if cell.tag == "c" else p)._add(cell.cell, v)
-        return a, c, p
-
     # reduction D => A:  F(a,c,a') = a + g f'(a'), G(a) = (a,0,0),
     #                    H(a,c,a') = (0, f'(a'), h'(a'))
     def F_cell(cell):

@@ -119,9 +119,11 @@ def assert_dd_zero(C, max_deg):
             assert z.is_zero(), f"d.d != 0 at {cell!r}: {z!r}"
 
 
-def assert_reduction_axioms(red, max_deg, seed=0, samples=20):
-    """Check the five reduction axioms on seeded random chains per degree."""
-    broken = check_reduction(red, max_deg, random.Random(seed), samples)
+def assert_reduction_axioms(red, max_deg, seed=0, samples=20, **basis):
+    """Check the five reduction axioms on seeded random chains per degree;
+    a `basis=` keyword is handed on to `check_reduction`."""
+    broken = check_reduction(red, max_deg, random.Random(seed), samples,
+                             **basis)
     assert broken is None, f"reduction axiom {broken} fails"
 
 

@@ -200,6 +200,19 @@ def test_cmd_postnikov_dump_and_eval(tmp_path, capsys):
     assert main(["postnikov", path, "--k", "2", "--eval", "2:9,9"]) == 2
 
 
+def test_cmd_postnikov_dump_of_a_wedge_has_the_minimal_stage_2(
+        tmp_path, capsys, own_caches):
+    # P_2 of a wedge of three two-spheres is K(Z^3,2), whose minimal
+    # effective complex is the tensor cube of that of K(Z,2)
+    cells = ["c0", "c1", "c2"]
+    doc = {"kind": "simplicial_set", "cells": {"0": ["v"], "2": cells},
+           "faces": {c: [["v", [0]]] * 3 for c in cells}}
+    path = write_doc(tmp_path, doc)
+    assert main(["postnikov", path, "--k", "3", "--dump"]) == 0
+    assert "stage 2: pi_2 = Z + Z + Z, effective ranks [1, 0, 3, 0, 6, 0]" \
+        in capsys.readouterr().out.splitlines()
+
+
 def test_cmd_postnikov_eval_names_a_multi_digit_vertex(tmp_path, capsys):
     doc = {"kind": "facets", "facets": [[10, 11, 12], [10, 11, 13],
                                         [10, 12, 13], [11, 12, 13]]}

@@ -1,16 +1,19 @@
 import random
+from math import gcd
 
 import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
 from effhom.chains import Chain, Cochain, normalized_chains
 from effhom.em import (EMSpace, _cell_from_bars, cochain_to_map, cone_raw,
-                       delta_map, ev, kz1_equivalence, map_to_cochain,
-                       path_fibration, potential_to_raw, pseudo_section_psi,
-                       raw_to_potential, twisting_tau)
+                       delta_map, em_equivalence, ev, kz1_equivalence,
+                       map_to_cochain, path_fibration, potential_to_raw,
+                       pseudo_section_psi, raw_to_potential, split_maps,
+                       twisting_tau)
 from effhom.reduction import equipped_homology
-from effhom.simplicial import nondeg, standard_simplex
-from helpers import random_cochain_raw, random_cocycle_raw
+from effhom.simplicial import nondeg, product, standard_simplex
+from helpers import (assert_dd_zero, assert_reduction_axioms,
+                     random_cochain_raw, random_cocycle_raw)
 
 
 def test_face_degeneracy_examples():
@@ -333,7 +336,6 @@ def test_cyclic_em1_homology():
 
 
 def test_mixed_group_em1():
-    from effhom.em import em_equivalence
     pi = AbGroup((0, 2))
     E = em_equivalence(pi, 1)
     assert E.obj.group is pi
@@ -341,19 +343,20 @@ def test_mixed_group_em1():
     assert primary_invariants(h1) == (1, (2,))
 
 
+# H_0..H_5 of K(Z/2,2) as `primary_invariants`
+KZ2_2_TABLE = [(1, ()), (0, ()), (0, (2,)), (0, ()), (0, (4,)), (0, (2,))]
+
+
 def test_em2_homology_tables():
-    from effhom.em import em_equivalence
     E = em_equivalence(Z, 2)
     groups = [equipped_homology(E, k).group for k in range(7)]
     assert groups == [Z, ZERO_GROUP, Z, ZERO_GROUP, Z, ZERO_GROUP, Z]
     E2 = em_equivalence(cyclic(2), 2)
-    expected = [(1, ()), (0, ()), (0, (2,)), (0, ()), (0, (4,)), (0, (2,))]
-    for k, inv in enumerate(expected):
+    for k, inv in enumerate(KZ2_2_TABLE):
         assert primary_invariants(equipped_homology(E2, k).group) == inv
 
 
 def test_ev_induces_isomorphism_on_top_homology():
-    from effhom.em import em_equivalence
     for pi in (Z, cyclic(2), cyclic(6)):
         for n in (1, 2):
             E = em_equivalence(pi, n)
@@ -367,5 +370,122 @@ def test_ev_induces_isomorphism_on_top_homology():
             if pi.rank:
                 assert v in ((1,), (-1,))
             else:
-                from math import gcd
                 assert gcd(v[0], pi.mm[0]) == 1
+
+
+# ---------------------------------------------------------------------------
+# K(pi,n) of a decomposable pi, equipped as the product of its cyclic factors
+# ---------------------------------------------------------------------------
+
+SPLIT_GROUPS = [AbGroup((0, 0)), AbGroup((0, 2)), AbGroup((2, 2))]
+SPLIT_IDS = ["Z+Z", "Z+Z2", "Z2+Z2"]
+
+
+def nondegenerate_cocycles(K, k, rng, draws=6):
+    cells = dict.fromkeys(K.canon(random_cocycle_raw(K, k, rng, density=0.6))
+                          for _ in range(draws))
+    return [c for c in cells if not c.is_degenerate()]
+
+
+def leg_basis(E, max_deg, rng):
+    """Seeded cells on which to sample both legs of an equipment whose big
+    and middle complexes have no finite basis.
+
+    In degree k the big end C(K(pi,n)) gets nondegenerate cocycle
+    simplices, and the middle gets the supports of both g maps on those
+    and on the small basis, and of both h maps on the middle cells one
+    degree down.
+    """
+    eq = E.eq
+    big = {k: nondegenerate_cocycles(E.obj, k, rng) for k in range(max_deg + 1)}
+    middle = {}
+    for k in range(max_deg + 1):
+        chains = [eq.left.g.on_cell(c) for c in big[k]]
+        chains += [eq.right.g.on_cell(c) for c in eq.small.basis(k)]
+        for leg in (eq.left, eq.right):
+            chains += [leg.h.on_cell(c) for c in middle.get(k - 1, ())]
+        middle[k] = sorted({c for z in chains for c, _ in z.items()}, key=repr)
+
+    def basis(C, k):
+        if C is eq.big:
+            return big[k]
+        if C is eq.middle:
+            return middle[k]
+        return C.basis(k)
+
+    return basis
+
+
+def factor_equipments(pi, n):
+    return [em_equivalence(AbGroup((m,)), n) for m in pi.mm]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("pi", SPLIT_GROUPS, ids=SPLIT_IDS)
+def test_split_equipment(pi, n):
+    E = em_equivalence(pi, n)
+    top = n + 2
+    basis = leg_basis(E, top, random.Random(n))
+    for leg in (E.eq.left, E.eq.right):
+        assert_reduction_axioms(leg, top, seed=n, samples=8, basis=basis)
+    assert_dd_zero(E.eq.small, top + 1)
+    # the effective end is the tensor product of the factors' effective ends
+    a, b = ([len(F.eq.small.basis(k)) for k in range(top + 2)]
+            for F in factor_equipments(pi, n))
+    assert [len(E.eq.small.basis(k)) for k in range(top + 2)] == \
+        [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(top + 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("pi", SPLIT_GROUPS, ids=SPLIT_IDS)
+def test_split_and_merge_are_inverse_simplicial_maps(pi, n):
+    K = em_equivalence(pi, n).obj
+    X, Y = (F.obj for F in factor_equipments(pi, n))
+    P = product(X, Y)
+    split, merge = split_maps(K, P)
+    rng = random.Random(n)
+    for m in range(n, n + 4):
+        for _ in range(8):
+            s = K.canon(random_cocycle_raw(K, m, rng))
+            assert merge(split(s)) == s
+            for i in range(m + 1):
+                assert split(K.face(i, s)) == P.face(i, split(s))
+            # the j-th factor carries the j-th pi-coordinate of the cocycle
+            labels = K.uncanon(s)[1]
+            for j, (S, c) in enumerate(zip((X, Y), P.components(split(s)))):
+                assert S.uncanon(c) == \
+                    S.make_raw(m, [(t, (v[j],)) for t, v in labels])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ev_induces_isomorphism_on_h_n_of_z_plus_z(n):
+    E = em_equivalence(AbGroup((0, 0)), n)
+    H = equipped_homology(E, n)
+    assert H.group == AbGroup((0, 0))
+    reps = [H.rep_of(gen) for gen in ((1, 0), (0, 1))]
+    assert all(E.chains.diff(rep).is_zero() for rep in reps)
+    (p, q), (r, s) = (ev(E.obj, rep) for rep in reps)
+    assert abs(p * s - q * r) == 1
+
+
+def kunneth(HX, HY, k):
+    """H_k(X x Y) from the `primary_invariants` tables of X and Y."""
+    rank, tors = 0, []
+    for i in range(k + 1):
+        (ra, ta), (rb, tb) = HX[i], HY[k - i]
+        rank += ra * rb
+        tors += list(ta) * rb + list(tb) * ra
+        tors += [gcd(p, q) for p in ta for q in tb if gcd(p, q) > 1]
+    for i in range(k):
+        # Tor(H_i X, H_{k-1-i} Y)
+        (_, ta), (_, tb) = HX[i], HY[k - 1 - i]
+        tors += [gcd(p, q) for p in ta for q in tb if gcd(p, q) > 1]
+    return (rank, tuple(sorted(tors)))
+
+
+def test_split_em2_homology_is_kunneth_of_the_tables():
+    kz2 = [(1, ()), (0, ())] * 3                  # Z, 0, Z, 0, Z, 0
+    E = em_equivalence(AbGroup((0, 2)), 2)
+    for k in range(6):
+        assert primary_invariants(equipped_homology(E, k).group) == \
+            kunneth(kz2, KZ2_2_TABLE, k)

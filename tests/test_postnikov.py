@@ -126,15 +126,6 @@ def minimal_sphere(n):
     return FinSSet({0: ["v"], n: ["c"]}, {"c": collapsed})
 
 
-@pytest.fixture
-def own_caches(monkeypatch):
-    """Keep the towers and Eilenberg-MacLane equipment a test builds to the
-    test, so that they are freed when it ends and do not weigh on the
-    garbage collector for the rest of the run."""
-    monkeypatch.setattr("effhom.postnikov._tower_cache", {})
-    monkeypatch.setattr("effhom.em._em_cache", {})
-
-
 def test_k4_of_s3_is_simplicial(own_caches):
     T = build_tower(equip(minimal_sphere(3), "C(S3)"), 5)
     P2, P3, P4 = (T.stage(i).P_i.obj for i in (2, 3, 4))
@@ -206,11 +197,34 @@ def sphere_wedge(n):
     return FinSSet({0: ["v"], 2: cells}, {c: collapsed for c in cells})
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_wedge_towers_with_split_fibres(own_caches, n):
+    """pi_2 and pi_3 of a wedge of n two-spheres are Z^n and Z^(n(n+1)/2)
+    (Hilton-Milnor), with the fibre K(Z^n,2) equipped as a product."""
+    T = build_tower(equip(sphere_wedge(n), "C(Y)"), 3)
+    assert [st.pi_i for st in T.stages] == \
+        [ZERO_GROUP, AbGroup((0,) * n), AbGroup((0,) * (n * (n + 1) // 2))]
+    assert all(verify_tower(T).values())
+    P1, P2, st = T.stage(1).P_i.obj, T.stage(2).P_i.obj, T.stage(3)
+    vertex = T.stage(1).phi_i(nondeg("v", 0))
+    rng = random.Random(n)
+    for m in (4, 4, 4, 5, 5):
+        a = P2.X.canon(random_cocycle_raw(P2.X, m, rng, density=0.4))
+        sigma = P2.pair(a, P1.apply_degeneracies(vertex, range(m)))
+        img = evaluate_k_invariant(T, 3, sigma)
+        if m == 4:
+            for j in range(5):
+                assert st.k_invariant(P2.face(j, sigma)) == \
+                    st.K_space.face(j, img)
+        else:
+            assert st.K_space.is_cocycle(st.K_space.uncanon(img))
+
+
 # digests of `helpers.tower_fingerprint`; any change to them is a change in
 # the computed towers, not only in their speed
 TOWER_DIGESTS = {
     "S2": "649ffcf035473bc8c74dc4f0003ceea13f7672e7bfb024a146b6a7ecb8bc80f4",
-    "wedge3": "17db406a5d1d6ab9c203f6695bec3b4dd12af924360408877770a6820bac7e47",
+    "wedge3": "61da9a3268ffd5dcc024ec0b62f16140e00b49d57d7628c725aea4111210dfe8",
     # stage 5 reads P_4, whose fibre K(Z/2,4) is an EM step over Z/2
     "S3": "0d4d776b06443eee170f611f5b249d1640ec1307188c74c85a2081ac31cf04cf",
 }
