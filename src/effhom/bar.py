@@ -19,7 +19,7 @@ from .chains import (CCx, Chain, ChainMap, Tag, TensorCell, normalized_chains,
 from .ez import (_shuffles, ez_reduction, product_equivalence,
                  tensor_of_reductions)
 from .reduction import (Equipped, Reduction, StrongEq, basic_perturbation,
-                        cone_equipment, conjugate_big, conjugate_small,
+                        cone_roof, conjugate_big, conjugate_small,
                         morse_reduction, perturb_strong_equivalence,
                         trivial_equivalence)
 from .simplicial import ProductSSet, Simplex, product
@@ -80,15 +80,17 @@ class TwistedProductSSet(ProductSSet):
         return self.pair(G.canon(G.raw_add(rg, rt)), B.face(0, base.b))
 
 
-def twisted_product_equivalence(F_eq: Equipped, B_eq: Equipped, tau,
-                                TP=None) -> Equipped:
+def twisted_product_equivalence(F_eq: Equipped, B_eq: Equipped,
+                                tau) -> Equipped:
     """Equip G x_tau B by perturbing the equipment of the plain product.
 
     The twist changes only the differential; its difference with the
     untwisted one is a perturbation that strictly drops the base filtration,
-    so the series are nilpotent within degree + 1 steps.
+    so the series are nilpotent within degree + 1 steps.  The basic lemma
+    perturbs the product's reduction, and the perturbation it induces on
+    the big end of the roof is carried across the roof.
     """
-    TP = TP if TP is not None else TwistedProductSSet(F_eq.obj, B_eq.obj, tau)
+    TP = TwistedProductSSet(F_eq.obj, B_eq.obj, tau)
     CTP = normalized_chains(TP)
     un = product_equivalence([F_eq, B_eq])
     CP = un.chains
@@ -96,9 +98,9 @@ def twisted_product_equivalence(F_eq: Equipped, B_eq: Equipped, tau,
     def tw_cell(cell):
         return CTP.diff_cell(cell) - CP.diff_cell(cell)
 
-    delta = ChainMap(CP, CP, tw_cell, shift=-1)
-    eq = perturb_strong_equivalence(un.eq, CTP, delta, bound=lambda k: k + 2)
-    return Equipped(TP, CTP, eq)
+    red = basic_perturbation(un.red, CTP, ChainMap(CP, CP, tw_cell, shift=-1))
+    eq = perturb_strong_equivalence(un.eq, red.target, red.target.delta)
+    return Equipped(TP, CTP, eq, red)
 
 
 def pullback_fibration(P_eq: Equipped, f, fiber_eq: Equipped) -> Equipped:
@@ -220,7 +222,7 @@ def suspended_ideal_equivalence(eqA: StrongEq, vertex) -> "tuple[CCx, StrongEq]"
         raise ValueError("effective end must have one vertex and d_1 = 0")
     Zc = z_complex()
     eps = augmentation(A, Zc)
-    eqC = cone_equipment(eps, eqA, trivial_equivalence(Zc))
+    eqC = cone_roof(eps, eqA, trivial_equivalence(Zc))
     cone_big, cone_eff = eqC.big, eqC.small
     Abar = suspended_ideal(A)
 
@@ -388,7 +390,7 @@ def bar_equivalence(entry_eq: StrongEq, N_eq: StrongEq, ext) -> StrongEq:
     eq = StrongEq(mid, left, right)
 
     delta = ChainMap(big, big, ext, shift=-1)
-    return perturb_strong_equivalence(eq, bar, delta, bound=lambda k: k + 2)
+    return perturb_strong_equivalence(eq, bar, delta)
 
 
 def bar_inverse_reduction(bar: CCx, M: CCx, unit: Simplex) -> Reduction:
@@ -437,6 +439,9 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
                      CB: CCx = None) -> Equipped:
     """Recover equipment for the base of a twisted product G x_tau B.
 
+    The roofs of the fibre and of the total space must start at their
+    chains (no reduction in front), or the division is refused.
+
     Steps: perturb the Eilenberg-Zilber reduction of C(G x B) by the twist
     to reach Q = A (x) C(B) with a twisted differential, and append it to
     the left leg of the total space's equipment, which then starts at Q.
@@ -447,6 +452,9 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
     asserted at runtime), and the perturbed contraction is appended to
     the left leg of the bar equivalence.
     """
+    if G_eq.red is not None or total_eq.red is not None:
+        raise ValueError("twisted division needs equipments of the fibre and "
+                         "the total space whose roofs start at their chains")
     G = G_eq.obj
     A = G_eq.chains
     CB = CB if CB is not None else normalized_chains(B)
@@ -460,8 +468,7 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
     def tw_cell(cell):
         return CTP.diff_cell(cell) - CP.diff_cell(cell)
 
-    red2 = basic_perturbation(ezred, CTP, ChainMap(CP, CP, tw_cell, shift=-1),
-                              bound=lambda k: k + 2)
+    red2 = basic_perturbation(ezred, CTP, ChainMap(CP, CP, tw_cell, shift=-1))
     eq_Q = conjugate_big(total_eq.eq, red2)
 
     dga = em_product(G, A)
@@ -486,6 +493,5 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
 
     red4 = basic_perturbation(inv, barQ,
                               ChainMap(bar0, bar0, dbar_cell, shift=-1),
-                              bound=lambda k: k + 2,
                               check_zero_small_delta=True)
     return Equipped(B, CB, conjugate_big(bar_eq, red4))

@@ -176,8 +176,6 @@ def cmd_homology(args) -> int:
 def _check_tower_args(args):
     if args.k < 2:
         raise InputError("--k must be at least 2")
-    if args.degree_cap is not None and args.degree_cap < args.k + 2:
-        raise InputError("--degree-cap must be at least k + 2")
 
 
 def _check_connected(X: FinSSet):
@@ -200,7 +198,7 @@ def _check_connected(X: FinSSet):
                          "components")
 
 
-def _file_tower(args):
+def _file_tower(args, degree_cap=None):
     """Equip the input and build its tower; the tower is None on refusal.
 
     The input is equipped with the critical cells of a greedy collapse
@@ -216,7 +214,7 @@ def _file_tower(args):
         warnings.simplefilter("ignore")
         try:
             _check_connected(X)
-            return Y, build_tower(Y, args.k, degree_cap=args.degree_cap)
+            return Y, build_tower(Y, args.k, degree_cap=degree_cap)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return Y, None
@@ -264,7 +262,9 @@ def _find_simplex(X: FinSSet, token: str):
 def cmd_postnikov(args) -> int:
     from .postnikov import evaluate_k_invariant, evaluate_phi
     _check_tower_args(args)
-    Y, T = _file_tower(args)
+    if args.degree_cap is not None and args.degree_cap < args.k + 2:
+        raise InputError("--degree-cap must be at least k + 2")
+    Y, T = _file_tower(args, args.degree_cap)
     if T is None:
         return 1
     lines, payload = [], {"command": "postnikov", "input": args.file,
@@ -316,9 +316,9 @@ def _suite_reduction_axioms(seed, samples):
     S3 = sphere(3)
     collapse2 = collapse_equipment(S2, eqs[1].chains)
     collapse3 = collapse_equipment(S3, normalized_chains(S3, name="C(S3)"))
-    for name, red in (("torus EZ right leg", torus.eq.right),
-                      ("torus EZ left leg", torus.eq.left),
-                      ("S1xS2 EZ right leg", prod.eq.right),
+    for name, red in (("torus Eilenberg-Zilber reduction", torus.red),
+                      ("torus roof left leg", torus.eq.left),
+                      ("S1xS2 Eilenberg-Zilber reduction", prod.red),
                       ("collapse of S2", collapse2.eq.right),
                       ("collapse of S3", collapse3.eq.right)):
         broken = check_reduction(red, 4, rng, samples)
@@ -454,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("file")
     pp.add_argument("--k", type=int, required=True)
     pp.add_argument("--assume-simply-connected", action="store_true")
-    pp.add_argument("--degree-cap", type=int, default=None)
     pp.add_argument("--json", action="store_true")
     pp.set_defaults(func=cmd_pi)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .abgroup import AbGroup, Z, cyclic
+from .bar import TwistedProductSSet, twisted_division
 from .chains import (Chain, ChainMap, Cochain, circle_complex,
                      induced_chain_map, normalized_chains, z_complex)
 from .ez import product_equivalence
@@ -382,7 +383,6 @@ def kzm1_equivalence(m: int) -> Equipped:
     """
     if m < 2:
         raise ValueError("the cyclic order must be at least 2")
-    from .bar import TwistedProductSSet, twisted_division
     kz1 = kz1_equivalence()
     G = kz1.obj
     Bm = EMSpace(cyclic(m), 1)
@@ -471,18 +471,18 @@ def split_maps(K: EMSpace, P):
 
 
 def _split_equivalence(pi: AbGroup, n: int) -> Equipped:
-    """Equip K(pi,n) as the product of the K(Z/m_j,n) of its cyclic factors,
-    conjugated through `split_maps`."""
+    """Equip K(pi,n) as the product of the K(Z/m_j,n) of its cyclic factors:
+    the split isomorphism of `split_maps` goes in front of the product's
+    reduction."""
     K = EMSpace(pi, n)
     prod = product_equivalence(em_equivalence(AbGroup((mj,)), n)
                                for mj in pi.mm)
     fwd, bwd = split_maps(K, prod.obj)
     C = normalized_chains(K, name=f"C(K({pi.render()},{n}))")
-    eq = conjugate_big(prod.eq, iso_as_reduction(
-        prod.chains, C,
-        induced_chain_map(bwd, prod.chains, C),
-        induced_chain_map(fwd, C, prod.chains)))
-    return Equipped(K, C, eq)
+    iso = iso_as_reduction(C, prod.chains,
+                           induced_chain_map(fwd, C, prod.chains),
+                           induced_chain_map(bwd, prod.chains, C))
+    return Equipped(K, C, prod.eq, compose_reductions(iso, prod.red))
 
 
 def path_fibration(G: EMSpace):
@@ -494,7 +494,6 @@ def path_fibration(G: EMSpace):
     from `cone_raw` contracts it onto a point.  Returns K(pi,n+1), tau and
     the equipped total space.
     """
-    from .bar import TwistedProductSSet
     pi, n = G.group, G.n
     K1 = EMSpace(pi, n + 1)
     tau = twisting_operator(G, K1)
@@ -531,7 +530,6 @@ def _em_step(prev: Equipped) -> Equipped:
     twisted division by the fibre K(pi,n) equips the base K(pi,n+1) on
     the standard model.
     """
-    from .bar import twisted_division
     K1, tau, total = path_fibration(prev.obj)
     CK1 = normalized_chains(K1, name=f"C(K({K1.group.render()},{K1.n}))")
     return twisted_division(prev, total, tau, K1, CB=CK1)

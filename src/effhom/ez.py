@@ -16,8 +16,8 @@ from itertools import combinations
 
 from .chains import (Chain, ChainMap, TensorCell, normalized_chains, tensor,
                      tensor_of_chains)
-from .reduction import (Equipped, Reduction, StrongEq,
-                        compose_strong_equivalences, morse_reduction)
+from .reduction import (Equipped, Reduction, StrongEq, compose_reductions,
+                        identity_reduction, morse_reduction)
 from .simplicial import PairCell, Simplex, nondeg, product
 
 
@@ -181,12 +181,12 @@ def tensor_of_reductions(reds, source=None, target=None) -> Reduction:
                      ChainMap(source, source, H_cell, shift=1))
 
 
-def tensor_of_equivalences(eqs, big=None, small=None) -> StrongEq:
+def tensor_of_equivalences(eqs, big=None) -> StrongEq:
     """Slotwise tensor of strong equivalences."""
     eqs = list(eqs)
     middle = tensor([e.middle for e in eqs])
     big = big if big is not None else tensor([e.big for e in eqs])
-    small = small if small is not None else tensor([e.small for e in eqs])
+    small = tensor([e.small for e in eqs])
     left = tensor_of_reductions([e.left for e in eqs], source=middle, target=big)
     right = tensor_of_reductions([e.right for e in eqs], source=middle,
                                  target=small)
@@ -198,7 +198,12 @@ def tensor_of_equivalences(eqs, big=None, small=None) -> StrongEq:
 # ---------------------------------------------------------------------------
 
 def product_equivalence(factors) -> Equipped:
-    """Equip X1 x ... x Xn (right-associated) given equipped factors."""
+    """Equip X1 x ... x Xn (right-associated) given equipped factors.
+
+    The reduction is Eilenberg-Zilber followed, when a factor has a
+    reduction of its own, by the tensor of the factors' reductions; the
+    roof is the tensor of the factors' roofs.
+    """
     factors = list(factors)
     if not factors:
         raise ValueError("empty product")
@@ -208,8 +213,11 @@ def product_equivalence(factors) -> Equipped:
     P = product(head.obj, rest.obj)
     CP = normalized_chains(P)
     T = tensor([head.chains, rest.chains])
-    ez = ez_reduction(head.obj, rest.obj, CX=head.chains, CY=rest.chains,
-                      P=P, CP=CP, T=T)
-    teq = tensor_of_equivalences([head.eq, rest.eq], big=T)
-    eq = compose_strong_equivalences(ez, teq)
-    return Equipped(P, CP, eq)
+    red = ez_reduction(head.obj, rest.obj, CX=head.chains, CY=rest.chains,
+                       P=P, CP=CP, T=T)
+    if head.red is not None or rest.red is not None:
+        red = compose_reductions(red, tensor_of_reductions(
+            [F.red or identity_reduction(F.chains) for F in (head, rest)],
+            source=T))
+    eq = tensor_of_equivalences([head.eq, rest.eq], big=red.target)
+    return Equipped(P, CP, eq, red)

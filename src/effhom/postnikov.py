@@ -76,8 +76,8 @@ def _build_stage(tower: PostnikovTower, i: int,
                  P_prev: Equipped, phi_prev: SMap) -> StageData:
     Y = tower.Y
     phi_star = induced_chain_map(phi_prev, Y.chains, P_prev.chains)
-    eqM = cone_equipment(phi_star, Y.eq, P_prev.eq)
-    EC = eqM.small
+    cone = cone_equipment(phi_star, Y, P_prev)
+    EC = cone.effective
 
     solver = complex_homology(EC, i + 1)
     pi = solver.group
@@ -86,7 +86,7 @@ def _build_stage(tower: PostnikovTower, i: int,
     rho_chain = solver.projected_class_of
 
     def rho_f(z: Chain):
-        return rho_chain(eqM.push(z))
+        return rho_chain(cone.push(z))
 
     kappa_ef = {c.cell: rho_chain(Chain.single(c, i + 1))
                 for c in basis if c.tag == "b"}

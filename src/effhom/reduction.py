@@ -17,9 +17,6 @@ from .chains import (CCx, Chain, ChainMap, ConeCCx, Tag, compose_chain_maps,
                      complex_homology, identity_chain_map, mapping_cone,
                      zero_map)
 
-# hard cap on perturbation-series length when no bound is declared
-_SERIES_CAP = 10_000
-
 
 @dataclass
 class Reduction:
@@ -95,132 +92,36 @@ def reduction_as_equivalence(r: Reduction) -> StrongEq:
     return StrongEq(r.source, identity_reduction(r.source), r)
 
 
-def compose_strong_equivalences(r: Reduction, eq: StrongEq) -> StrongEq:
-    """Glue a reduction A => E and a roof E <= A' => E' along the shared E.
-
-    This is for a reduction and a roof that really meet at E, as in
-    `ez.product_equivalence` (Eilenberg-Zilber, then the tensor of the
-    factors' equipments).  The new middle is the double mapping cylinder
-        D_k = A_k + E_{k-1} + A'_k,
-        d(a, c, a') = (da - g(c), -dc, da' + g'(c)),
-    with (g, f, h) the maps of r and (g', f', h') of eq's left leg.  The
-    two projections of D are reductions onto A and A'; the first is the
-    new left leg, the second is composed with eq's right leg.
-    """
-    if r.target is not eq.big:
-        raise ValueError("reduction and equivalence do not meet")
-    A, A2, E = r.source, eq.middle, r.target
-    r2 = eq.left                       # A' => E
-
-    def dim_fn(cell):
-        if cell.tag == "a":
-            return A.cell_dim(cell.cell)
-        if cell.tag == "c":
-            return E.cell_dim(cell.cell) + 1
-        return A2.cell_dim(cell.cell)
-
-    def diff_cell(cell):
-        if cell.tag == "a":
-            da = A.diff_cell(cell.cell)
-            return da.map_cells(lambda x: Tag("a", x))
-        if cell.tag == "c":
-            k = E.cell_dim(cell.cell)
-            gc = r.g.on_cell(cell.cell)
-            out = (-gc).map_cells(lambda x: Tag("a", x))
-            dc = E.diff_cell(cell.cell)
-            out = out + (-dc).map_cells(lambda x: Tag("c", x), degree=k)
-            g2c = r2.g.on_cell(cell.cell)
-            return out + g2c.map_cells(lambda x: Tag("p", x))
-        da = A2.diff_cell(cell.cell)
-        return da.map_cells(lambda x: Tag("p", x))
-
-    basis_fn = None
-    if A.is_effective and A2.is_effective and E.is_effective:
-        def basis_fn(k):
-            return ([Tag("a", c) for c in A.basis(k)]
-                    + [Tag("c", c) for c in E.basis(k - 1)]
-                    + [Tag("p", c) for c in A2.basis(k)])
-
-    D = CCx(dim_fn, diff_cell, basis_fn, name="DblCyl")
-
-    # reduction D => A:  F(a,c,a') = a + g f'(a'), G(a) = (a,0,0),
-    #                    H(a,c,a') = (0, f'(a'), h'(a'))
-    def F_cell(cell):
-        if cell.tag == "a":
-            return Chain.single(cell.cell, A.cell_dim(cell.cell))
-        if cell.tag == "p":
-            return r.g(r2.f.on_cell(cell.cell))
-        return Chain.zero(dim_fn(cell))
-
-    def H_cell(cell):
-        if cell.tag == "p":
-            k = A2.cell_dim(cell.cell)
-            out = r2.f.on_cell(cell.cell).map_cells(lambda x: Tag("c", x),
-                                                    degree=k + 1)
-            return out + r2.h.on_cell(cell.cell).map_cells(lambda x: Tag("p", x))
-        return Chain.zero(dim_fn(cell) + 1)
-
-    red_left = Reduction(
-        D, A,
-        ChainMap(D, A, F_cell),
-        ChainMap(A, D, lambda c: Chain.single(Tag("a", c), A.cell_dim(c))),
-        ChainMap(D, D, H_cell, shift=1))
-
-    # reduction D => A': F'(a,c,a') = a' + g' f(a), G'(a') = (0,0,a'),
-    #                    H'(a,c,a') = (h(a), -f(a), 0)
-    def F2_cell(cell):
-        if cell.tag == "p":
-            return Chain.single(cell.cell, A2.cell_dim(cell.cell))
-        if cell.tag == "a":
-            return r2.g(r.f.on_cell(cell.cell))
-        return Chain.zero(dim_fn(cell))
-
-    def H2_cell(cell):
-        if cell.tag == "a":
-            k = A.cell_dim(cell.cell)
-            out = r.h.on_cell(cell.cell).map_cells(lambda x: Tag("a", x))
-            fa = r.f.on_cell(cell.cell)
-            return out + (-fa).map_cells(lambda x: Tag("c", x), degree=k + 1)
-        return Chain.zero(dim_fn(cell) + 1)
-
-    red_right = Reduction(
-        D, A2,
-        ChainMap(D, A2, F2_cell),
-        ChainMap(A2, D, lambda c: Chain.single(Tag("p", c), A2.cell_dim(c))),
-        ChainMap(D, D, H2_cell, shift=1))
-
-    return StrongEq(D, red_left, compose_reductions(red_right, eq.right))
-
-
 # ---------------------------------------------------------------------------
 # perturbation lemmas
 # ---------------------------------------------------------------------------
 
 def perturbed_complex(C: CCx, delta: ChainMap, name=None) -> CCx:
-    """The complex with the same basis and differential d + delta."""
+    """The complex with the same basis and differential d + delta.
+
+    It keeps delta as `delta`, so that a lemma perturbing a reduction
+    further reads the perturbation off the complex it was given.
+    """
 
     def diff_cell(cell):
         return C.diff_cell(cell) + delta.on_cell(cell)
 
-    return CCx(C.cell_dim, diff_cell, C._basis_fn,
-               name=name or (f"{C.name}'" if C.name else None))
+    Cp = CCx(C.cell_dim, diff_cell, C._basis_fn,
+             name=name or (f"{C.name}'" if C.name else None))
+    Cp.delta = delta
+    return Cp
 
 
-def _series(step, x: Chain, bound) -> Chain:
+def _series(step, x: Chain) -> Chain:
     """sum_i (-1)^i step^i (x), stopping at the first zero term.
 
-    `bound` may be None (use the global cap), an int, or a callable taking
-    the chain degree (for per-degree nilpotency declarations).
+    Every perturbation here lowers a filtration bounded by the degree, so
+    the series must stop within degree + 2 terms; a longer one is refused.
     """
     acc = Chain(x.degree, dict(x.terms))
     term = x
     sign = -1
-    if bound is None:
-        cap = _SERIES_CAP
-    elif callable(bound):
-        cap = bound(x.degree)
-    else:
-        cap = bound
+    cap = x.degree + 2
     for _ in range(cap):
         term = step(term)
         if term.is_zero():
@@ -229,17 +130,18 @@ def _series(step, x: Chain, bound) -> Chain:
         sign = -sign
     raise ArithmeticError(
         f"perturbation series did not terminate within {cap} steps "
-        "(declared nilpotency bound violated)")
+        "(the perturbation is not nilpotent)")
 
 
-def basic_perturbation(red: Reduction, Cp: CCx, delta: ChainMap, bound=None,
+def basic_perturbation(red: Reduction, Cp: CCx, delta: ChainMap,
                        check_zero_small_delta=False) -> Reduction:
     """Perturb the big complex of a reduction by delta (degree -1).
 
     Cp is the big complex with differential d + delta; the result starts
     at it.  Requires h.delta locally nilpotent.  With
     phi = sum (-1)^i (h delta)^i and psi = sum (-1)^i (delta h)^i, the new
-    reduction is (f psi, phi g, phi h) from Cp to (target, d + f psi delta g).
+    reduction is (f psi, phi g, phi h) from Cp to (target, d + f psi delta g),
+    and the target keeps the induced perturbation f psi delta g as `delta`.
 
     With check_zero_small_delta the induced perturbation f psi delta g is
     a structural zero (true in some constructions, not generically): the
@@ -249,10 +151,10 @@ def basic_perturbation(red: Reduction, Cp: CCx, delta: ChainMap, bound=None,
     D, f, g, h = red.target, red.f, red.g, red.h
 
     def phi(x):
-        return _series(lambda t: h(delta(t)), x, bound)
+        return _series(lambda t: h(delta(t)), x)
 
     def psi(x):
-        return _series(lambda t: delta(h(t)), x, bound)
+        return _series(lambda t: delta(h(t)), x)
 
     def small_delta_cell(cell):
         return f(psi(delta(g.on_cell(cell))))
@@ -281,7 +183,8 @@ def basic_perturbation(red: Reduction, Cp: CCx, delta: ChainMap, bound=None,
 def easy_perturbation(red: Reduction, Dp: CCx, delta: ChainMap) -> Reduction:
     """Perturb the small complex by delta; Dp is it with differential d + delta.
 
-    The big complex gets d + g delta f and the maps are unchanged.
+    The big complex gets d + g delta f, which it keeps as `delta`, and the
+    maps are unchanged.
     """
     C, f, g, h = red.source, red.f, red.g, red.h
 
@@ -295,8 +198,8 @@ def easy_perturbation(red: Reduction, Dp: CCx, delta: ChainMap) -> Reduction:
                      ChainMap(Cp, Cp, h.on_cell, shift=1))
 
 
-def perturb_strong_equivalence(eq: StrongEq, big: CCx, delta: ChainMap,
-                               bound=None) -> StrongEq:
+def perturb_strong_equivalence(eq: StrongEq, big: CCx,
+                               delta: ChainMap) -> StrongEq:
     """Carry a perturbation of the big complex across a strong equivalence.
 
     `big` is the big complex with differential d + delta; the result ends
@@ -305,13 +208,7 @@ def perturb_strong_equivalence(eq: StrongEq, big: CCx, delta: ChainMap,
     leg with the basic lemma.
     """
     left = easy_perturbation(eq.left, big, delta)
-    fL, gL = eq.left.f, eq.left.g
-
-    def mid_delta_cell(cell):
-        return gL(delta(fL.on_cell(cell)))
-
-    mid_delta = ChainMap(eq.middle, eq.middle, mid_delta_cell, shift=-1)
-    right = basic_perturbation(eq.right, left.source, mid_delta, bound=bound)
+    right = basic_perturbation(eq.right, left.source, left.source.delta)
     return StrongEq(left.source, left, right)
 
 
@@ -408,20 +305,41 @@ def morse_reduction(C: CCx, field, name=None) -> Reduction:
 
 @dataclass
 class Equipped:
-    """A space/complex together with a strong equivalence to an effective one."""
+    """A space/complex with a reduction and a roof to an effective complex.
+
+    `red` reduces the object's chains onto the big end of the roof `eq`;
+    it is None when the roof already starts at the chains.  Products, and
+    so twisted products and split K(pi,n), keep their Eilenberg-Zilber
+    reduction here, in front of the tensor of the factors' roofs.
+    """
     obj: object                 # SimplicialSet or CCx, for reference
-    chains: CCx                 # its chain complex (the big end of eq)
+    chains: CCx                 # its chain complex
     eq: StrongEq
+    red: Reduction = None       # chains => eq.big
 
     def __post_init__(self):
-        if self.eq.big is not self.chains:
-            raise ValueError("equipment must start at the object's chains")
+        if self.red is None:
+            if self.eq.big is not self.chains:
+                raise ValueError("equipment must start at the object's chains")
+        elif (self.red.source is not self.chains
+              or self.red.target is not self.eq.big):
+            raise ValueError("the reduction must run from the object's chains "
+                             "to the big end of the roof")
         if not self.eq.small.is_effective:
             raise ValueError("effective end of the equipment has no basis")
 
     @property
     def effective(self) -> CCx:
         return self.eq.small
+
+    def push(self, z: Chain) -> Chain:
+        """Transport a cycle of the chains to the effective complex."""
+        return self.eq.push(z if self.red is None else self.red.f(z))
+
+    def pull(self, z: Chain) -> Chain:
+        """Transport a cycle of the effective complex to the chains."""
+        z = self.eq.pull(z)
+        return z if self.red is None else self.red.g(z)
 
 
 def trivial_equipment(obj, C: CCx) -> Equipped:
@@ -508,10 +426,10 @@ class EquippedHomology:
         self.group = self._solver.group
 
     def class_of(self, z: Chain):
-        return self._solver.class_of(self.E.eq.push(z))
+        return self._solver.class_of(self.E.push(z))
 
     def rep_of(self, elt) -> Chain:
-        return self.E.eq.pull(self._solver.rep_of(elt))
+        return self.E.pull(self._solver.rep_of(elt))
 
 
 def equipped_homology(E: Equipped, k: int) -> EquippedHomology:
@@ -593,8 +511,8 @@ def cone_reduction(rA: Reduction, rB: Reduction, src: ConeCCx,
                      ChainMap(src, src, H_cell, shift=1))
 
 
-def cone_equipment(phi: ChainMap, eqX: StrongEq, eqY: StrongEq) -> StrongEq:
-    """Equip Cone(phi: X -> Y) given equipments of X and Y.
+def cone_roof(phi: ChainMap, eqX: StrongEq, eqY: StrongEq) -> StrongEq:
+    """The roof of Cone(phi: X -> Y) given roofs of X and Y.
 
     The middle is the cone of phi lifted to the middles, g_Y phi f_X.  Its
     cone reductions along the left legs land on Cone(phi), since
@@ -609,6 +527,26 @@ def cone_equipment(phi: ChainMap, eqX: StrongEq, eqY: StrongEq) -> StrongEq:
     eff = mapping_cone(compose_chain_maps(RY.f, mid.phi, RX.g))
     return StrongEq(mid, cone_reduction(LX, LY, mid, big),
                     cone_reduction(RX, RY, mid, eff))
+
+
+def cone_equipment(phi: ChainMap, X: Equipped, Y: Equipped) -> Equipped:
+    """Equip Cone(phi: X.chains -> Y.chains) given equipped X and Y.
+
+    When X or Y has a reduction, the cone reduction along the two
+    reductions (an identity on a side without one) leads to the cone of
+    f_Y phi g_X between the big ends of the roofs, and `cone_roof` equips
+    that.
+    """
+    if phi.source is not X.chains or phi.target is not Y.chains:
+        raise ValueError("phi must run between the equipped chains")
+    if X.red is None and Y.red is None:
+        eq = cone_roof(phi, X.eq, Y.eq)
+        return Equipped(eq.big, eq.big, eq)
+    rX = X.red or identity_reduction(X.chains)
+    rY = Y.red or identity_reduction(Y.chains)
+    eq = cone_roof(compose_chain_maps(rY.f, phi, rX.g), X.eq, Y.eq)
+    cone = mapping_cone(phi)
+    return Equipped(cone, cone, eq, cone_reduction(rX, rY, cone, eq.big))
 
 
 # ---------------------------------------------------------------------------

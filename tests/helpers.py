@@ -127,6 +127,36 @@ def assert_reduction_axioms(red, max_deg, seed=0, samples=20, **basis):
     assert broken is None, f"reduction axiom {broken} fails"
 
 
+def equipment_samples(E, max_deg, cells):
+    """A `basis=` for `check_reduction` on the reduction and both roof legs
+    of an equipment whose chains, big end and middle have no finite basis.
+
+    In degree k the chains get the seeded cells `cells(k)`, the big end of
+    the roof the supports of `red.f` on those, and the middle the supports
+    of both g maps on the big and small cells and of both h maps on the
+    middle cells one degree down.
+    """
+    red, eq = E.red, E.eq
+    chains, big, middle = {}, {}, {}
+    for k in range(max_deg + 1):
+        chains[k] = cells(k)
+        big[k] = sorted({c for x in chains[k] for c, _ in red.f.on_cell(x).items()},
+                        key=repr)
+        zs = [eq.left.g.on_cell(c) for c in big[k]]
+        zs += [eq.right.g.on_cell(c) for c in eq.small.basis(k)]
+        for leg in (eq.left, eq.right):
+            zs += [leg.h.on_cell(c) for c in middle.get(k - 1, ())]
+        middle[k] = sorted({c for z in zs for c, _ in z.items()}, key=repr)
+
+    def basis(C, k):
+        for table, D in ((chains, E.chains), (big, eq.big), (middle, eq.middle)):
+            if C is D:
+                return table[k]
+        return C.basis(k)
+
+    return basis
+
+
 def assert_chain_map(m, max_deg, seed=0, samples=10):
     """f(dx) = d(f(x)) on random chains (degree-0 maps only)."""
     rng = random.Random(seed)

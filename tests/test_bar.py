@@ -1,6 +1,8 @@
 import random
 
-from effhom.abgroup import Z, ZERO_GROUP, cyclic
+import pytest
+
+from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
 from effhom.bar import (TwistedProductSSet, _strata, _word_complex,
                         bar_inverse_reduction, em_product,
                         external_differential, pullback_fibration,
@@ -9,7 +11,10 @@ from effhom.bar import (TwistedProductSSet, _strata, _word_complex,
 from effhom.chains import (Chain, TensorCell, normalized_chains, tensor,
                            z_complex)
 from effhom.em import EMSpace, _cell_from_bars, kz1_equivalence
-from effhom.reduction import equipped_homology, trivial_equipment
+from effhom.ez import ez_reduction, product_equivalence, tensor_of_reductions
+from effhom.reduction import (Equipped, compose_reductions, equipped_homology,
+                              identity_reduction, reduction_as_equivalence,
+                              trivial_equipment)
 from effhom.simplicial import nondeg, product, sphere
 from helpers import assert_dd_zero
 
@@ -154,19 +159,50 @@ def test_bar_inverse_reduction_axioms():
     assert red.h(red.g(y)).is_zero()
 
 
+def unit_twist_total(kz1, B, CB):
+    """K(Z,1) x_tau B for the unit twist, equipped by one reduction.
+
+    The unit twist leaves d_0 untouched, so the Eilenberg-Zilber reduction
+    of the plain product serves the twisted one, and the circle equipment
+    of K(Z,1) follows it slotwise: a roof that starts at the chains.
+    """
+    G = kz1.obj
+    tau = unit_twist(G)
+    TP = TwistedProductSSet(G, B, tau)
+    CTP = normalized_chains(TP)
+    ez = ez_reduction(G, B, CX=kz1.chains, CY=CB, P=TP, CP=CTP)
+    red = compose_reductions(ez, tensor_of_reductions(
+        [kz1.eq.right, identity_reduction(CB)], source=ez.target))
+    return tau, Equipped(TP, CTP, reduction_as_equivalence(red))
+
+
 def test_twisted_division_unit_twist_sphere():
     kz1 = kz1_equivalence()
-    G = kz1.obj
-    for B, expected in ((sphere(2), [Z, ZERO_GROUP, Z]),
-                        (sphere(1), [Z, Z, ZERO_GROUP])):
+    for B, total_groups, expected in (
+            (sphere(2), [Z, Z, Z], [Z, ZERO_GROUP, Z]),
+            (sphere(1), [Z, AbGroup((0, 0)), Z], [Z, Z, ZERO_GROUP])):
         CB = normalized_chains(B)
-        tau = unit_twist(G)
-        TP = TwistedProductSSet(G, B, tau)
-        total = twisted_product_equivalence(
-            kz1, trivial_equipment(B, CB), tau, TP=TP)
-        out = twisted_division(kz1, total, tau, B)
+        tau, total = unit_twist_total(kz1, B, CB)
+        assert [equipped_homology(total, k).group for k in range(3)] == \
+            total_groups
+        out = twisted_division(kz1, total, tau, B, CB=CB)
         for k, grp in enumerate(expected):
             assert equipped_homology(out, k).group == grp
+
+
+def test_twisted_division_refuses_a_reduction_in_front_of_the_roof():
+    kz1 = kz1_equivalence()
+    B = sphere(2)
+    CB = normalized_chains(B)
+    tau = unit_twist(kz1.obj)
+    total = twisted_product_equivalence(kz1, trivial_equipment(B, CB), tau)
+    assert total.red is not None
+    with pytest.raises(ValueError, match="roofs start at their chains"):
+        twisted_division(kz1, total, tau, B, CB=CB)
+    _, roof_only = unit_twist_total(kz1, B, CB)
+    product = product_equivalence([kz1, trivial_equipment(B, CB)])
+    with pytest.raises(ValueError, match="roofs start at their chains"):
+        twisted_division(product, roof_only, tau, B, CB=CB)
 
 
 def test_twisted_product_equivalence_unit_twist():

@@ -178,8 +178,8 @@ def test_tower_commands_refuse_empty_or_disconnected_input(
 
 @pytest.mark.parametrize("args", [
     ["homology", "--max-dim", "-3"],
-    ["pi", "--k", "3", "--degree-cap", "2"],
-    ["pi", "--k", "3", "--degree-cap", "4", "--assume-simply-connected"],
+    ["pi", "--k", "1"],
+    ["pi", "--k", "1", "--assume-simply-connected"],
     ["postnikov", "--k", "2", "--degree-cap", "3"],
 ])
 def test_cmd_bad_flags_exit_2(tmp_path, capsys, args):

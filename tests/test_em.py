@@ -13,7 +13,8 @@ from effhom.em import (EMSpace, _cell_from_bars, cochain_to_map, cone_raw,
 from effhom.reduction import equipped_homology
 from effhom.simplicial import nondeg, product, standard_simplex
 from helpers import (assert_dd_zero, assert_reduction_axioms,
-                     random_cochain_raw, random_cocycle_raw)
+                     equipment_samples, random_cochain_raw,
+                     random_cocycle_raw)
 
 
 def test_face_degeneracy_examples():
@@ -387,35 +388,6 @@ def nondegenerate_cocycles(K, k, rng, draws=6):
     return [c for c in cells if not c.is_degenerate()]
 
 
-def leg_basis(E, max_deg, rng):
-    """Seeded cells on which to sample both legs of an equipment whose big
-    and middle complexes have no finite basis.
-
-    In degree k the big end C(K(pi,n)) gets nondegenerate cocycle
-    simplices, and the middle gets the supports of both g maps on those
-    and on the small basis, and of both h maps on the middle cells one
-    degree down.
-    """
-    eq = E.eq
-    big = {k: nondegenerate_cocycles(E.obj, k, rng) for k in range(max_deg + 1)}
-    middle = {}
-    for k in range(max_deg + 1):
-        chains = [eq.left.g.on_cell(c) for c in big[k]]
-        chains += [eq.right.g.on_cell(c) for c in eq.small.basis(k)]
-        for leg in (eq.left, eq.right):
-            chains += [leg.h.on_cell(c) for c in middle.get(k - 1, ())]
-        middle[k] = sorted({c for z in chains for c, _ in z.items()}, key=repr)
-
-    def basis(C, k):
-        if C is eq.big:
-            return big[k]
-        if C is eq.middle:
-            return middle[k]
-        return C.basis(k)
-
-    return basis
-
-
 def factor_equipments(pi, n):
     return [em_equivalence(AbGroup((m,)), n) for m in pi.mm]
 
@@ -425,9 +397,11 @@ def factor_equipments(pi, n):
 def test_split_equipment(pi, n):
     E = em_equivalence(pi, n)
     top = n + 2
-    basis = leg_basis(E, top, random.Random(n))
-    for leg in (E.eq.left, E.eq.right):
-        assert_reduction_axioms(leg, top, seed=n, samples=8, basis=basis)
+    rng = random.Random(n)
+    basis = equipment_samples(
+        E, top, lambda k: nondegenerate_cocycles(E.obj, k, rng))
+    for red in (E.red, E.eq.left, E.eq.right):
+        assert_reduction_axioms(red, top, seed=n, samples=8, basis=basis)
     assert_dd_zero(E.eq.small, top + 1)
     # the effective end is the tensor product of the factors' effective ends
     a, b = ([len(F.eq.small.basis(k)) for k in range(top + 2)]

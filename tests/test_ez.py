@@ -141,6 +141,18 @@ def test_product_equivalence_two_spheres():
     assert eh.class_of(rep) == (1,)
 
 
+def test_product_equivalence_reduction_and_roof_legs():
+    # S^1 x S^2: red is Eilenberg-Zilber, the roof the tensor of the roofs
+    factors = [trivial_equipment(sphere(n), normalized_chains(sphere(n)))
+               for n in (1, 2)]
+    E = product_equivalence(factors)
+    assert E.red.source is E.chains and E.red.target is E.eq.big
+    for red in (E.red, E.eq.left, E.eq.right):
+        assert_reduction_axioms(red, 4, samples=10)
+    groups = [equipped_homology(E, k).group for k in range(4)]
+    assert groups == [Z, Z, Z, Z]
+
+
 def test_product_equivalence_single_factor_passthrough():
     E1 = trivial_equipment(sphere(2), normalized_chains(sphere(2)))
     assert product_equivalence([E1]) is E1

@@ -14,8 +14,8 @@ from effhom.reduction import (collapse_equipment, cone_equipment,
                               trivial_equipment)
 from effhom.simplicial import FinSSet, Simplex, from_facets, nondeg, sphere
 from effhom.smith import smith_normal_form
-from helpers import (RP2_FACETS, random_cocycle_raw, stacked_sphere,
-                     tower_fingerprint)
+from helpers import (RP2_FACETS, assert_reduction_axioms, equipment_samples,
+                     random_cocycle_raw, stacked_sphere, tower_fingerprint)
 
 
 def equip(X, name):
@@ -117,6 +117,33 @@ def test_k_invariant_is_simplicial():
         for i in range(3):
             assert st.k_invariant(P2.face(i, sigma)) == \
                 st.K_space.face(i, img)
+
+
+def test_stage_reduction_and_roof_legs():
+    """Stage 3 of the S^2 tower keeps the perturbed product reduction in
+    front of its roof; both pass the reduction axioms on seeded simplices
+    (a3, a2, degenerate vertex of P_1) of P_3."""
+    T = build_tower(equip(sphere(2), "C(S2)"), 3)
+    P1, P2, E = T.stage(1).P_i.obj, T.stage(2).P_i.obj, T.stage(3).P_i
+    P3 = E.obj
+    vertex = T.stage(1).phi_i(nondeg((0,), 0))
+    rng = random.Random(3)
+
+    def cells(k):
+        out = set()
+        for _ in range(4):
+            a2 = P2.X.canon(random_cocycle_raw(P2.X, k, rng, density=0.6))
+            a3 = P3.X.canon(random_cocycle_raw(P3.X, k, rng, density=0.6))
+            s = P3.pair(a3, P2.pair(a2, P1.apply_degeneracies(vertex, range(k))))
+            if not s.is_degenerate():
+                out.add(s)
+        return sorted(out, key=repr)
+
+    assert E.red.source is E.chains and E.red.target is E.eq.big
+    basis = equipment_samples(E, 4, cells)
+    assert all(basis(E.chains, k) for k in (3, 4))
+    for red in (E.red, E.eq.left, E.eq.right):
+        assert_reduction_axioms(red, 4, seed=3, samples=8, basis=basis)
 
 
 def minimal_sphere(n):
@@ -298,7 +325,7 @@ def test_projected_class_matches_kernel_projection(X):
         P_prev = T.stage(i - 1).P_i if i > 1 else T.P0
         phi_prev = T.stage(i - 1).phi_i if i > 1 else T.phi0
         phi_star = induced_chain_map(phi_prev, Y.chains, P_prev.chains)
-        EC = cone_equipment(phi_star, Y.eq, P_prev.eq).small
+        EC = cone_equipment(phi_star, Y, P_prev).effective
         solver, expected = projected_classes(EC, i + 1)
         st = T.stage(i)
         for cell, cls in expected.items():

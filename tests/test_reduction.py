@@ -7,7 +7,7 @@ from effhom.chains import (CCx, Chain, ChainMap, TensorCell, homology_groups,
                            normalized_chains, tensor, z_complex)
 from effhom.reduction import (Equipped, StrongEq,
                               basic_perturbation, compose_reductions,
-                              compose_strong_equivalences, easy_perturbation,
+                              cone_equipment, easy_perturbation,
                               equipped_homology, identity_reduction,
                               iso_as_reduction, morse_reduction,
                               perturb_strong_equivalence, perturbed_complex,
@@ -111,28 +111,6 @@ def test_compose_two_step_formula():
     assert_reduction_axioms(comp, 3, samples=10)
 
 
-def test_compose_strong_equivalences():
-    r = sphere_morse_reduction(2)
-    C = r.source
-    e_back = StrongEq(C, r, identity_reduction(C))      # crit <= C => C
-    comp = compose_strong_equivalences(r, e_back)
-    assert_dd_zero(comp.middle, 4)
-    assert_reduction_axioms(comp.left, 3, samples=10)
-    assert_reduction_axioms(comp.right, 3, samples=10)
-    # homology of the double mapping cylinder = homology of the sphere
-    assert homology_groups(comp.middle, 2) == [Z, ZERO_GROUP, Z]
-
-
-def test_compose_strong_equivalences_trivial():
-    C = normalized_chains(sphere(1))
-    comp = compose_strong_equivalences(identity_reduction(C),
-                                       trivial_equivalence(C))
-    assert homology_groups(comp.middle, 1) == [Z, Z]
-    rng = random.Random(2)
-    z = random_chain(C.basis(1), 1, rng)
-    assert (comp.left.f(comp.left.g(z)) - z).is_zero()
-
-
 def test_basic_perturbation_zero_delta():
     C, red = small_reduction()
     delta = zero_map(C, C, shift=-1)
@@ -172,7 +150,7 @@ def test_basic_perturbation_two_term_series():
         return Chain.zero(dims[c] - 1)
 
     delta = ChainMap(C, C, delta_cell, shift=-1)
-    out = basic_perturbation(red, perturbed_complex(C, delta), delta, bound=3)
+    out = basic_perturbation(red, perturbed_complex(C, delta), delta)
     assert_dd_zero(out.source, 3)
     assert_dd_zero(out.target, 3)
     assert_reduction_axioms(out, 3)
@@ -189,8 +167,7 @@ def test_basic_perturbation_detects_non_nilpotent():
 
     delta = ChainMap(C, C, delta_cell, shift=-1)
     with pytest.raises(ArithmeticError):
-        out = basic_perturbation(red, perturbed_complex(C, delta), delta,
-                                 bound=5)
+        out = basic_perturbation(red, perturbed_complex(C, delta), delta)
         out.h(Chain.single("x", 1))
 
 
@@ -241,7 +218,7 @@ def test_perturb_strong_equivalence():
 
     delta = ChainMap(C, C, delta_cell, shift=-1)
     Cp = perturbed_complex(C, delta)
-    out = perturb_strong_equivalence(eq, Cp, delta, bound=3)
+    out = perturb_strong_equivalence(eq, Cp, delta)
     assert out.big is Cp
     assert out.left.source is out.middle is out.right.source
     assert_dd_zero(out.middle, 2)
@@ -293,68 +270,91 @@ def test_equipped_homology_trivial_and_morse():
 
 def test_perturbed_complex_shares_basis():
     C, _ = small_reduction()
-    P = perturbed_complex(C, zero_map(C, C, shift=-1))
+    delta = zero_map(C, C, shift=-1)
+    P = perturbed_complex(C, delta)
     assert P.basis(1) == C.basis(1)
     assert (P.diff_cell("w") - C.diff_cell("w")).is_zero()
+    assert P.delta is delta
 
 
 def test_cone_equipment_multiplication_map():
     # cone of (x m): Z -> Z has H_0 = Z/m
     C, D = z_complex("c"), z_complex("d")
     phi = ChainMap(C, D, lambda c: Chain.single("d", 0, 3))
-    from effhom.reduction import cone_equipment
-    eq = cone_equipment(phi, trivial_equivalence(C), trivial_equivalence(D))
-    assert_dd_zero(eq.middle, 2)
-    assert_reduction_axioms(eq.left, 2)
-    assert_reduction_axioms(eq.right, 2)
-    assert homology_groups(eq.small, 1) == [AbGroup((3,)), ZERO_GROUP]
+    E = cone_equipment(phi, trivial_equipment(C, C), trivial_equipment(D, D))
+    # without reductions on either side the equipment is the cone roof
+    assert E.red is None and E.chains is E.eq.big and E.chains.phi is phi
+    assert_dd_zero(E.eq.middle, 2)
+    assert_reduction_axioms(E.eq.left, 2)
+    assert_reduction_axioms(E.eq.right, 2)
+    assert homology_groups(E.effective, 1) == [AbGroup((3,)), ZERO_GROUP]
 
 
 def test_cone_equipment_nontrivial_legs():
     from effhom.chains import induced_chain_map
-    from effhom.reduction import cone_equipment
     from effhom.simplicial import vertex_map
     X = sphere(2)
     red = sphere_morse_reduction(2)
     CX = red.source
-    eqX = reduction_as_equivalence(red)
     pt = standard_simplex(0)
     Cpt = normalized_chains(pt)
-    eqY = trivial_equivalence(Cpt)
     phi = induced_chain_map(vertex_map(X, pt, {v: 0 for v in range(4)}),
                             CX, Cpt)
-    eq = cone_equipment(phi, eqX, eqY)
-    assert_dd_zero(eq.middle, 4)
-    assert_reduction_axioms(eq.left, 3, samples=10)
-    assert_reduction_axioms(eq.right, 3, samples=10)
+    E = cone_equipment(phi, Equipped(X, CX, reduction_as_equivalence(red)),
+                       trivial_equipment(pt, Cpt))
+    assert_dd_zero(E.eq.middle, 4)
+    assert_reduction_axioms(E.eq.left, 3, samples=10)
+    assert_reduction_axioms(E.eq.right, 3, samples=10)
     # cone of S^2 -> pt kills H_0 and shifts H_2 up
-    assert homology_groups(eq.small, 3) == [ZERO_GROUP, ZERO_GROUP,
-                                            ZERO_GROUP, Z]
+    assert homology_groups(E.effective, 3) == [ZERO_GROUP, ZERO_GROUP,
+                                               ZERO_GROUP, Z]
 
 
 def test_cone_equipment_nontrivial_legs_on_both_sides():
-    from effhom.reduction import cone_equipment
     X = sphere(2)
     C = normalized_chains(X)
 
-    def equipment(apex):
-        # C <= DblCyl => crit: h is nonzero on both legs
-        red = morse_reduction(C, cone_field(X, apex))
-        return compose_strong_equivalences(identity_reduction(C),
-                                           reduction_as_equivalence(red))
+    def equipment(a, b):
+        # red: C => crit_a, then the roof crit_a <= C => crit_b; h is
+        # nonzero on the reduction and on both legs
+        ra = morse_reduction(C, cone_field(X, a))
+        rb = morse_reduction(C, cone_field(X, b))
+        return Equipped(X, C, StrongEq(C, ra, rb), ra)
 
-    eqX, eqY = equipment(0), equipment(1)
+    eqX, eqY = equipment(0, 1), equipment(2, 3)
     phi = ChainMap(C, C, lambda c: Chain.single(c, C.cell_dim(c), 2))
-    eq = cone_equipment(phi, eqX, eqY)
-    for leg in (eqX.left, eqX.right, eqY.left, eqY.right):
-        assert any(not leg.h.on_cell(c).is_zero()
-                   for k in range(3) for c in leg.source.basis(k))
-    assert_dd_zero(eq.middle, 4)
-    assert_reduction_axioms(eq.left, 3, samples=10)
-    assert_reduction_axioms(eq.right, 3, samples=10)
+    E = cone_equipment(phi, eqX, eqY)
+    for red in (eqX.red, eqX.eq.right, eqY.red, eqY.eq.right):
+        assert any(not red.h.on_cell(c).is_zero()
+                   for k in range(3) for c in red.source.basis(k))
+    assert E.chains is E.red.source and E.red.target is E.eq.big
+    assert_dd_zero(E.chains, 4)
+    assert_dd_zero(E.eq.middle, 4)
+    for red in (E.red, E.eq.left, E.eq.right):
+        assert_reduction_axioms(red, 3, samples=10)
     # the cone of multiplication by 2 on S^2: coker in H_0 and H_2
-    assert homology_groups(eq.small, 3) == [AbGroup((2,)), ZERO_GROUP,
-                                            AbGroup((2,)), ZERO_GROUP]
+    assert homology_groups(E.effective, 3) == [AbGroup((2,)), ZERO_GROUP,
+                                               AbGroup((2,)), ZERO_GROUP]
+    H = equipped_homology(E, 2)
+    rep = H.rep_of((1,))
+    assert E.chains.diff(rep).is_zero() and H.class_of(rep) == (1,)
+
+
+def test_equipped_refuses_a_reduction_off_the_roof():
+    red = sphere_morse_reduction(2)
+    C = red.source
+    X = sphere(2)
+    Equipped(X, C, reduction_as_equivalence(red))
+    Equipped(X, C, trivial_equivalence(red.target), red)
+    with pytest.raises(ValueError, match="big end of the roof"):
+        # the roof starts at a copy of crit, not at red's target
+        crit = CCx(red.target.cell_dim, red.target.diff_cell,
+                   red.target._basis_fn)
+        Equipped(X, C, trivial_equivalence(crit), red)
+    with pytest.raises(ValueError, match="big end of the roof"):
+        Equipped(X, C, reduction_as_equivalence(red), red)
+    with pytest.raises(ValueError, match="start at the object's chains"):
+        Equipped(X, red.target, reduction_as_equivalence(red))
 
 
 def test_suspended_ideal_equivalence_refuses_several_vertices():
