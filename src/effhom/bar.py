@@ -29,8 +29,9 @@ from .simplicial import ProductSSet, Simplex, product
 # twisted cartesian products
 # ---------------------------------------------------------------------------
 
-def check_twist_axioms(G, B, tau, simplices):
-    """Verify the four twisting-operator identities on the given B-simplices.
+def check_twist_axioms(TP, simplices):
+    """Verify the four twisting-operator identities of TP = G x_tau B on
+    the given B-simplices.
 
     tau sends an l-simplex of B to an (l-1)-simplex of the simplicial
     group G; in additive notation the conditions are
@@ -39,6 +40,7 @@ def check_twist_axioms(G, B, tau, simplices):
         si tau(b) = tau(s_{i+1} b),
         tau(s0 b) = unit.
     """
+    G, B, tau = TP.X, TP.Y, TP.tau
     for s in simplices:
         m = s.dim
         if m < 1:
@@ -80,25 +82,33 @@ class TwistedProductSSet(ProductSSet):
         return self.pair(G.canon(G.raw_add(rg, rt)), B.face(0, base.b))
 
 
-def twisted_product_equivalence(F_eq: Equipped, B_eq: Equipped,
-                                tau) -> Equipped:
-    """Equip G x_tau B by perturbing the equipment of the plain product.
+def _twisted_reduction(red: Reduction, CTP: CCx) -> Reduction:
+    """Carry a reduction of C(G x B) over to C(G x_tau B) = CTP.
 
     The twist changes only the differential; its difference with the
     untwisted one is a perturbation that strictly drops the base filtration,
-    so the series are nilpotent within degree + 1 steps.  The basic lemma
-    perturbs the product's reduction, and the perturbation it induces on
-    the big end of the roof is carried across the roof.
+    so the basic lemma's series are nilpotent within degree + 1 steps.
     """
-    TP = TwistedProductSSet(F_eq.obj, B_eq.obj, tau)
-    CTP = normalized_chains(TP)
-    un = product_equivalence([F_eq, B_eq])
-    CP = un.chains
+    CP = red.source
 
     def tw_cell(cell):
         return CTP.diff_cell(cell) - CP.diff_cell(cell)
 
-    red = basic_perturbation(un.red, CTP, ChainMap(CP, CP, tw_cell, shift=-1))
+    return basic_perturbation(red, CTP, ChainMap(CP, CP, tw_cell, shift=-1))
+
+
+def twisted_product_equivalence(F_eq: Equipped, B_eq: Equipped,
+                                tau) -> Equipped:
+    """Equip G x_tau B by perturbing the equipment of the plain product.
+
+    The basic lemma perturbs the product's reduction by the twist, and the
+    perturbation it induces on the big end of the roof is carried across
+    the roof.
+    """
+    TP = TwistedProductSSet(F_eq.obj, B_eq.obj, tau)
+    CTP = normalized_chains(TP)
+    un = product_equivalence([F_eq, B_eq])
+    red = _twisted_reduction(un.red, CTP)
     eq = perturb_strong_equivalence(un.eq, red.target, red.target.delta)
     return Equipped(TP, CTP, eq, red)
 
@@ -110,9 +120,9 @@ def pullback_fibration(P_eq: Equipped, f, fiber_eq: Equipped) -> Equipped:
     the literal pullback {(p, e): f(p) = delta(e)} is isomorphic to it via
     (g, p) -> (psi(f(p)) + g, p).
     """
-    from .em import twisting_operator
-    tau_K = twisting_operator(fiber_eq.obj, f.target)
-    return twisted_product_equivalence(fiber_eq, P_eq, lambda s: tau_K(f(s)))
+    from .em import pulled_back_twist
+    return twisted_product_equivalence(fiber_eq, P_eq,
+                                       pulled_back_twist(fiber_eq.obj, f))
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +145,12 @@ class DGA:
         return out
 
 
-def em_product(G, C: CCx = None) -> DGA:
+def em_product(G, C: CCx) -> DGA:
     """The shuffle product on C(G) for an abelian simplicial group G.
 
     a.b is the sum over (p,q)-shuffles of the signed pointwise group sum of
     the two degenerated factors; degenerate results drop out.
     """
-    C = C if C is not None else normalized_chains(G)
     unit = G.canon(G.raw_unit(0))
     cache = {}
 
@@ -172,9 +181,8 @@ def em_product(G, C: CCx = None) -> DGA:
 # the suspended augmentation ideal and its equipment
 # ---------------------------------------------------------------------------
 
-def augmentation(A: CCx, Zc: CCx = None) -> ChainMap:
+def augmentation(A: CCx, Zc: CCx) -> ChainMap:
     """eps: A -> Z, assuming A is 0-reduced (all vertices map to 1)."""
-    Zc = Zc if Zc is not None else z_complex()
 
     def on_cell(cell):
         k = A.cell_dim(cell)
@@ -208,8 +216,9 @@ def suspended_ideal(A: CCx, name=None) -> CCx:
                name=name or (f"{A.name}^" if A.name else "Abar"))
 
 
-def suspended_ideal_equivalence(eqA: StrongEq, vertex) -> "tuple[CCx, StrongEq]":
-    """Equip the suspended augmentation ideal of A = eqA.big.
+def suspended_ideal_equivalence(eqA: StrongEq, vertex) -> StrongEq:
+    """Equip the suspended augmentation ideal of A = eqA.big; it is the big
+    end of the returned roof.
 
     The effective end must have a single degree-0 cell and d_1 = 0, as the
     equipments of simplicial groups built here do.  Route: equip the cone
@@ -257,8 +266,7 @@ def suspended_ideal_equivalence(eqA: StrongEq, vertex) -> "tuple[CCx, StrongEq]"
         return None
 
     collapse_eff = morse_reduction(cone_eff, field, name="ideal-collapse")
-    eq = conjugate_small(conjugate_big(eqC, collapse_big), collapse_eff)
-    return Abar, eq
+    return conjugate_small(conjugate_big(eqC, collapse_big), collapse_eff)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +443,13 @@ def bar_inverse_reduction(bar: CCx, M: CCx, unit: Simplex) -> Reduction:
 # twisted division
 # ---------------------------------------------------------------------------
 
-def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
-                     CB: CCx = None) -> Equipped:
-    """Recover equipment for the base of a twisted product G x_tau B.
+def twisted_division(G_eq: Equipped, total_eq: Equipped) -> Equipped:
+    """Recover equipment for the base B of a twisted product G x_tau B.
 
-    The roofs of the fibre and of the total space must start at their
-    chains (no reduction in front), or the division is refused.
+    The total space must be a `TwistedProductSSet` over the fibre that
+    G_eq equips, and the roofs of the fibre and of the total space must
+    start at their chains (no reduction in front), or the division is
+    refused.
 
     Steps: perturb the Eilenberg-Zilber reduction of C(G x B) by the twist
     to reach Q = A (x) C(B) with a twisted differential, and append it to
@@ -452,23 +461,23 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
     asserted at runtime), and the perturbed contraction is appended to
     the left leg of the bar equivalence.
     """
+    TP = total_eq.obj
+    if not isinstance(TP, TwistedProductSSet):
+        raise ValueError("twisted division needs a twisted product as its "
+                         "total space")
+    if G_eq.obj is not TP.X:
+        raise ValueError("the fibre equipment does not equip the fibre of "
+                         "the total space")
     if G_eq.red is not None or total_eq.red is not None:
         raise ValueError("twisted division needs equipments of the fibre and "
                          "the total space whose roofs start at their chains")
-    G = G_eq.obj
+    G, B = TP.X, TP.Y
     A = G_eq.chains
-    CB = CB if CB is not None else normalized_chains(B)
-    CTP = total_eq.chains
-
+    CB = normalized_chains(B)
     P_un = product(G, B)
-    CP = normalized_chains(P_un)
     T0 = tensor([A, CB])
-    ezred = ez_reduction(G, B, CX=A, CY=CB, P=P_un, CP=CP, T=T0)
-
-    def tw_cell(cell):
-        return CTP.diff_cell(cell) - CP.diff_cell(cell)
-
-    red2 = basic_perturbation(ezred, CTP, ChainMap(CP, CP, tw_cell, shift=-1))
+    red2 = _twisted_reduction(ez_reduction(P_un, normalized_chains(P_un), T0),
+                              total_eq.chains)
     eq_Q = conjugate_big(total_eq.eq, red2)
 
     dga = em_product(G, A)
@@ -482,10 +491,10 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped, tau, B,
         return out
 
     ext = external_differential(dga.mul_cells, act)
-    Abar, entry_eq = suspended_ideal_equivalence(G_eq.eq, unit)
+    entry_eq = suspended_ideal_equivalence(G_eq.eq, unit)
     bar_eq = bar_equivalence(entry_eq, eq_Q, ext)
     barQ = bar_eq.big
-    bar0 = _word_complex(_strata(Abar, T0), ext, name="Bar0")
+    bar0 = _word_complex(_strata(entry_eq.big, T0), ext, name="Bar0")
     inv = bar_inverse_reduction(bar0, CB, unit)
 
     def dbar_cell(cell):

@@ -178,34 +178,14 @@ def _check_tower_args(args):
         raise InputError("--k must be at least 2")
 
 
-def _check_connected(X: FinSSet):
-    """Refuse an empty or disconnected X: union-find on its 1-skeleton."""
-    root = {v: v for v in X.cells(0)}
-    if not root:
-        raise ValueError("the input is empty")
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    for e in X.cells(1):
-        root[find(X.base_face(0, e).base)] = find(X.base_face(1, e).base)
-    parts = len({find(v) for v in root})
-    if parts > 1:
-        raise ValueError(f"the input is not connected: it has {parts} "
-                         "components")
-
-
 def _file_tower(args, degree_cap=None):
     """Equip the input and build its tower; the tower is None on refusal.
 
     The input is equipped with the critical cells of a greedy collapse
     (`collapse_equipment`), so each stage's effective cone carries those
-    instead of all of C(X).  Empty or disconnected input is refused, and
-    so is input whose stage-1 group H_1 is not trivial; the reason goes
-    to stderr.
+    instead of all of C(X).  `build_tower` refuses empty or disconnected
+    input and input whose stage-1 group H_1 is not trivial; the reason
+    goes to stderr.
     """
     from .postnikov import build_tower
     X = parse_input(args.file)
@@ -213,7 +193,6 @@ def _file_tower(args, degree_cap=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            _check_connected(X)
             return Y, build_tower(Y, args.k, degree_cap=degree_cap)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -376,7 +355,7 @@ def _suite_perturbation(seed, samples):
     return checks
 
 
-def _suite_postnikov(seed, samples):
+def _suite_postnikov(_seed, _samples):
     from .postnikov import build_tower, verify_tower
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

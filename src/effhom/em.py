@@ -8,9 +8,12 @@ the coface/codegeneracy vertex maps.  On top of the models live the
 fibration delta: E(pi,n) -> K(pi,n+1), its twisting operator tau and
 pseudo-section psi, the path fibration K(pi,n) -> E(pi,n) -> K(pi,n+1)
 on the standard models with its contraction, and the equipment of
-K(pi,n): K(Z,1) by collapse, K(Z/m,1) by a quotient fibration, a cyclic
+K(pi,n): K(Z,1) by collapse, K(Z/m,1) by dividing the path fibration of
+K(Z,1) pulled back along the Bockstein K(Z/m,1) -> K(Z,2), a cyclic
 K(pi,n+1) by dividing the path fibration, and, at every n, a pi with two
-or more cyclic factors as the product of the K(Z/m_j,n).
+or more cyclic factors as the product of the K(Z/m_j,n).  The twist of
+the path fibration, `twisting_operator`, is the only twist: every other
+fibration pulls it back along a map.
 """
 
 from __future__ import annotations
@@ -325,7 +328,7 @@ def kz1_equivalence() -> Equipped:
 
 
 # ---------------------------------------------------------------------------
-# potential coordinates (used for the cyclic-group quotient fibration)
+# potential coordinates (used for the total space over K(Z/m,1))
 # ---------------------------------------------------------------------------
 
 def potential_to_raw(space: EMSpace, vals):
@@ -348,50 +351,48 @@ def raw_to_potential(space: EMSpace, raw):
 # equipment of the cyclic and general Eilenberg-MacLane spaces
 # ---------------------------------------------------------------------------
 
-def kzm1_twist(G: EMSpace, Bm: EMSpace):
-    """Twisting operator of the quotient fibration K(Z,1) -> K(Z/m,1).
+def bockstein(Bm: EMSpace) -> SMap:
+    """The Bockstein beta: K(Z/m,1) -> K(Z,2) of 0 -> Z -> Z -> Z/m -> 0.
 
-    In potential coordinates the entries t_i = (iota(b_{i+1}) - iota(b_1)
-    - iota(b_{i+1} - b_1)) / m land in {0,-1}, with iota: Z/m -> {0..m-1}.
+    beta is the carry cocycle (iota(b_02) - iota(b_01) - iota(b_12)) / m,
+    with iota: Z/m -> {0..m-1}, made a map by `cochain_to_map`.
     """
     m = Bm.group.mm[0]
 
-    def iota(v):
-        return v[0] % m
+    def carry(cell):
+        b01, b02, b12 = (Bm.label(cell.base, t)[0] % m
+                         for t in ((0, 1), (0, 2), (1, 2)))
+        return ((b02 - b01 - b12) // m,)
 
-    def tau(s: Simplex) -> Simplex:
-        raw = Bm.uncanon(s)
-        pots = raw_to_potential(Bm, raw)
-        vals = []
-        for i in range(1, raw[0]):
-            t = (iota(pots[i]) - iota(pots[0])
-                 - iota(Bm.group.sub(pots[i], pots[0]))) // m
-            vals.append((t,))
-        return G.canon(potential_to_raw(G, vals))
+    return cochain_to_map(Cochain(Z, 2, carry, name="beta"), Bm, EMSpace(Z, 2))
 
-    return tau
+
+def pulled_back_twist(G: EMSpace, f: SMap):
+    """`twisting_operator` of G -> E -> f.target, pulled back along f."""
+    tau = twisting_operator(G, f.target)
+    return lambda s: tau(f(s))
 
 
 def kzm1_equivalence(m: int) -> Equipped:
-    """Equip K(Z/m,1) by dividing the quotient fibration K(Z,1) -> K(Z/m,1).
+    """Equip K(Z/m,1) by dividing K(Z,1) -> K(Z,1) x_tau K(Z/m,1) -> K(Z/m,1).
 
-    K(Z,1) x_tau K(Z/m,1) is simplicially isomorphic to K(Z,1) in potential
-    coordinates via c_i = m a_i + iota(b_i) (iota: Z/m -> {0..m-1}); the
-    twisting entries t_i = (iota(b_{i+1}) - iota(b_1) - iota(b_{i+1}-b_1))/m
-    lie in {0,-1}.  Transport the circle equipment through the isomorphism
-    and divide.
+    The fibration is the path fibration of K(Z,1) pulled back along the
+    Bockstein.  Its total space is simplicially isomorphic to K(Z,1) in
+    potential coordinates via c_i = m a_i + iota(b_i) (iota: Z/m ->
+    {0..m-1}), since the twist has potentials (iota(b_{i+1}) - iota(b_1)
+    - iota(b_{i+1} - b_1)) / m.  Transport the circle equipment through
+    the isomorphism and divide.
     """
     if m < 2:
         raise ValueError("the cyclic order must be at least 2")
     kz1 = kz1_equivalence()
     G = kz1.obj
     Bm = EMSpace(cyclic(m), 1)
-    tau = kzm1_twist(G, Bm)
 
     def iota(v):
         return v[0] % m
 
-    TP = TwistedProductSSet(G, Bm, tau)
+    TP = TwistedProductSSet(G, Bm, pulled_back_twist(G, bockstein(Bm)))
     CTP = normalized_chains(TP, name=f"C(K(Z,1)x_tK(Z/{m},1))")
 
     def phi_base(base):
@@ -415,8 +416,7 @@ def kzm1_equivalence(m: int) -> Equipped:
         kz1.eq, iso_as_reduction(kz1.chains, CTP,
                                  induced_chain_map(bwd, kz1.chains, CTP),
                                  induced_chain_map(fwd, CTP, kz1.chains))))
-    CB = normalized_chains(Bm, name=f"C(K(Z/{m},1))")
-    return twisted_division(kz1, total, tau, Bm, CB=CB)
+    return twisted_division(kz1, total)
 
 
 def _em1_equivalence(pi: AbGroup) -> Equipped:
@@ -491,13 +491,12 @@ def path_fibration(G: EMSpace):
     E(pi,n) is the twisted product K(pi,n) x_tau K(pi,n+1) with the twist
     of `twisting_operator`; (g, z) -> (psi(z) + g) identifies it with the
     cochain model.  The extra degeneracy h(gamma, z) = (unit, c) with c
-    from `cone_raw` contracts it onto a point.  Returns K(pi,n+1), tau and
-    the equipped total space.
+    from `cone_raw` contracts it onto a point.  Returns the equipped total
+    space.
     """
     pi, n = G.group, G.n
     K1 = EMSpace(pi, n + 1)
-    tau = twisting_operator(G, K1)
-    TP = TwistedProductSSet(G, K1, tau)
+    TP = TwistedProductSSet(G, K1, twisting_operator(G, K1))
     CTP = normalized_chains(TP, name=f"C(E({pi.render()},{n}))")
     Zc = z_complex()
     vertex = TP.pair(G.zero_simplex(0), K1.zero_simplex(0))
@@ -520,7 +519,7 @@ def path_fibration(G: EMSpace):
         ChainMap(CTP, Zc, f_cell),
         ChainMap(Zc, CTP, lambda c: Chain.single(vertex, 0)),
         ChainMap(CTP, CTP, h_cell, shift=1), name="path-contraction")
-    return K1, tau, Equipped(TP, CTP, reduction_as_equivalence(contraction))
+    return Equipped(TP, CTP, reduction_as_equivalence(contraction))
 
 
 def _em_step(prev: Equipped) -> Equipped:
@@ -530,9 +529,7 @@ def _em_step(prev: Equipped) -> Equipped:
     twisted division by the fibre K(pi,n) equips the base K(pi,n+1) on
     the standard model.
     """
-    K1, tau, total = path_fibration(prev.obj)
-    CK1 = normalized_chains(K1, name=f"C(K({K1.group.render()},{K1.n}))")
-    return twisted_division(prev, total, tau, K1, CB=CK1)
+    return twisted_division(prev, path_fibration(prev.obj))
 
 
 _em_cache = {}

@@ -99,7 +99,7 @@ def _shuffles(p, q):
         yield alpha, beta, -1 if inv % 2 else 1
 
 
-def eml(P, CP, T) -> ChainMap:
+def eml(CP, T) -> ChainMap:
     """Shuffle map C(X) (x) C(Y) -> C(X x Y)."""
 
     def on_cell(cell: TensorCell):
@@ -116,17 +116,10 @@ def eml(P, CP, T) -> ChainMap:
     return ChainMap(T, CP, on_cell, name="EML")
 
 
-def ez_reduction(X, Y, CX=None, CY=None, P=None, CP=None, T=None) -> Reduction:
-    """The Eilenberg-Zilber reduction C(X x Y) => C(X) (x) C(Y)."""
-    P = P if P is not None else product(X, Y)
-    CP = CP if CP is not None else normalized_chains(P)
-    CX = CX if CX is not None else normalized_chains(X)
-    CY = CY if CY is not None else normalized_chains(Y)
-    T = T if T is not None else tensor([CX, CY])
+def ez_reduction(P, CP, T) -> Reduction:
+    """The Eilenberg-Zilber reduction CP = C(X x Y) => T = C(X) (x) C(Y)."""
     mred = morse_reduction(CP, ez_field(P), name="EZ")
-    f = aw(P, CP, T)
-    g = eml(P, CP, T)
-    return Reduction(CP, T, f, g, mred.h, name="EZ")
+    return Reduction(CP, T, aw(P, CP, T), eml(CP, T), mred.h, name="EZ")
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +206,7 @@ def product_equivalence(factors) -> Equipped:
     P = product(head.obj, rest.obj)
     CP = normalized_chains(P)
     T = tensor([head.chains, rest.chains])
-    red = ez_reduction(head.obj, rest.obj, CX=head.chains, CY=rest.chains,
-                       P=P, CP=CP, T=T)
+    red = ez_reduction(P, CP, T)
     if head.red is not None or rest.red is not None:
         red = compose_reductions(red, tensor_of_reductions(
             [F.red or identity_reduction(F.chains) for F in (head, rest)],

@@ -133,7 +133,9 @@ _tower_cache = {}
 def build_tower(Y: Equipped, k: int, degree_cap=None) -> PostnikovTower:
     """Stages P_1..P_k of an equipped Y, assumed 1-connected.
 
-    The result is cached per equipped object and extended in place when a
+    Empty or disconnected Y (read off H_0 of its effective complex) and Y
+    with a nontrivial stage-1 group are refused with a ValueError.  The
+    result is cached per equipped object and extended in place when a
     larger k is requested later.
     """
     if k < 2:
@@ -143,6 +145,12 @@ def build_tower(Y: Equipped, k: int, degree_cap=None) -> PostnikovTower:
         raise ValueError("degree cap must be at least k + 2")
     cached = _tower_cache.get(id(Y))
     if cached is None or cached[0] is not Y:
+        components = complex_homology(Y.effective, 0).group.rank
+        if components == 0:
+            raise ValueError("the input is empty")
+        if components > 1:
+            raise ValueError(f"the input is not connected: it has "
+                             f"{components} components")
         warnings.warn("homotopy groups are only meaningful for 1-connected "
                       "input; this is not checked beyond H_1", stacklevel=2)
         P0obj = point_space()

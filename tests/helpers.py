@@ -8,7 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import effhom.cli
-from effhom.em import EMSpace, _delta_raw
+from effhom.em import EMSpace, _delta_raw, potential_to_raw, raw_to_potential
 from effhom.reduction import check_reduction, random_chain
 from effhom.simplicial import from_facets
 from effhom.smith import SNF, IntMatrix
@@ -42,6 +42,29 @@ def random_cocycle_raw(space, m, rng, density=0.5):
         return random_cochain_raw(space, m, rng, density)
     lower = EMSpace(space.group, space.n - 1, "E")
     return _delta_raw(lower, random_cochain_raw(lower, m, rng, density))
+
+
+def carry_twist(G, Bm):
+    """Hand-derived twist of the quotient fibration K(Z,1) -> K(Z/m,1).
+
+    In potential coordinates the entries t_i = (iota(b_{i+1}) - iota(b_1)
+    - iota(b_{i+1} - b_1)) / m land in {0,-1}, with iota: Z/m -> {0..m-1}.
+    An oracle for the Bockstein pullback of the path fibration's twist.
+    """
+    m = Bm.group.mm[0]
+
+    def iota(v):
+        return v[0] % m
+
+    def tau(s):
+        raw = Bm.uncanon(s)
+        pots = raw_to_potential(Bm, raw)
+        vals = [((iota(pots[i]) - iota(pots[0])
+                  - iota(Bm.group.sub(pots[i], pots[0]))) // m,)
+                for i in range(1, raw[0])]
+        return G.canon(potential_to_raw(G, vals))
+
+    return tau
 
 
 # directory holding the `effhom` package this process imported (`src/`);

@@ -14,7 +14,7 @@ from effhom.em import EMSpace, _cell_from_bars, kz1_equivalence
 from effhom.ez import ez_reduction, product_equivalence, tensor_of_reductions
 from effhom.reduction import (Equipped, compose_reductions, equipped_homology,
                               identity_reduction, reduction_as_equivalence,
-                              trivial_equipment)
+                              trivial_equipment, trivial_equivalence)
 from effhom.simplicial import nondeg, product, sphere
 from helpers import assert_dd_zero
 
@@ -100,8 +100,8 @@ def test_suspended_ideal_shape():
 def test_suspended_ideal_equivalence_homology():
     kz1 = kz1_equivalence()
     unit = kz1.obj.zero_simplex(0)
-    Abar, eq = suspended_ideal_equivalence(kz1.eq, unit)
-    E = eq.small
+    eq = suspended_ideal_equivalence(kz1.eq, unit)
+    Abar, E = eq.big, eq.small
     assert E.basis(0) == () and E.basis(1) == ()
     assert len(E.basis(2)) == 1
     assert_dd_zero(E, 4)
@@ -159,21 +159,20 @@ def test_bar_inverse_reduction_axioms():
     assert red.h(red.g(y)).is_zero()
 
 
-def unit_twist_total(kz1, B, CB):
+def unit_twist_total(kz1, B):
     """K(Z,1) x_tau B for the unit twist, equipped by one reduction.
 
     The unit twist leaves d_0 untouched, so the Eilenberg-Zilber reduction
     of the plain product serves the twisted one, and the circle equipment
     of K(Z,1) follows it slotwise: a roof that starts at the chains.
     """
-    G = kz1.obj
-    tau = unit_twist(G)
-    TP = TwistedProductSSet(G, B, tau)
+    TP = TwistedProductSSet(kz1.obj, B, unit_twist(kz1.obj))
     CTP = normalized_chains(TP)
-    ez = ez_reduction(G, B, CX=kz1.chains, CY=CB, P=TP, CP=CTP)
+    CB = normalized_chains(B)
+    ez = ez_reduction(TP, CTP, tensor([kz1.chains, CB]))
     red = compose_reductions(ez, tensor_of_reductions(
         [kz1.eq.right, identity_reduction(CB)], source=ez.target))
-    return tau, Equipped(TP, CTP, reduction_as_equivalence(red))
+    return Equipped(TP, CTP, reduction_as_equivalence(red))
 
 
 def test_twisted_division_unit_twist_sphere():
@@ -181,11 +180,11 @@ def test_twisted_division_unit_twist_sphere():
     for B, total_groups, expected in (
             (sphere(2), [Z, Z, Z], [Z, ZERO_GROUP, Z]),
             (sphere(1), [Z, AbGroup((0, 0)), Z], [Z, Z, ZERO_GROUP])):
-        CB = normalized_chains(B)
-        tau, total = unit_twist_total(kz1, B, CB)
+        total = unit_twist_total(kz1, B)
         assert [equipped_homology(total, k).group for k in range(3)] == \
             total_groups
-        out = twisted_division(kz1, total, tau, B, CB=CB)
+        out = twisted_division(kz1, total)
+        assert out.obj is B
         for k, grp in enumerate(expected):
             assert equipped_homology(out, k).group == grp
 
@@ -194,15 +193,33 @@ def test_twisted_division_refuses_a_reduction_in_front_of_the_roof():
     kz1 = kz1_equivalence()
     B = sphere(2)
     CB = normalized_chains(B)
-    tau = unit_twist(kz1.obj)
-    total = twisted_product_equivalence(kz1, trivial_equipment(B, CB), tau)
+    total = twisted_product_equivalence(kz1, trivial_equipment(B, CB),
+                                        unit_twist(kz1.obj))
     assert total.red is not None
     with pytest.raises(ValueError, match="roofs start at their chains"):
-        twisted_division(kz1, total, tau, B, CB=CB)
-    _, roof_only = unit_twist_total(kz1, B, CB)
-    product = product_equivalence([kz1, trivial_equipment(B, CB)])
+        twisted_division(kz1, total)
+    # the circle reduction in front of a trivial roof on the fibre
+    red_first = Equipped(kz1.obj, kz1.chains,
+                         trivial_equivalence(kz1.effective), kz1.eq.right)
     with pytest.raises(ValueError, match="roofs start at their chains"):
-        twisted_division(product, roof_only, tau, B, CB=CB)
+        twisted_division(red_first, unit_twist_total(kz1, B))
+
+
+def test_twisted_division_refuses_a_fibre_or_total_it_cannot_read():
+    kz1 = kz1_equivalence()
+    total = unit_twist_total(kz1, sphere(2))
+    other = kz1_equivalence()
+    assert other.obj is not total.obj.X
+    with pytest.raises(ValueError, match="does not equip the fibre"):
+        twisted_division(other, total)
+    # the untwisted S^1 x S^2, equipped by Eilenberg-Zilber alone
+    S1, S2 = (trivial_equipment(X, normalized_chains(X))
+              for X in (sphere(1), sphere(2)))
+    plain = product_equivalence([S1, S2])
+    untwisted = Equipped(plain.obj, plain.chains,
+                         reduction_as_equivalence(plain.red))
+    with pytest.raises(ValueError, match="needs a twisted product"):
+        twisted_division(S1, untwisted)
 
 
 def test_twisted_product_equivalence_unit_twist():

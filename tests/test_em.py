@@ -5,14 +5,15 @@ import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
 from effhom.chains import Chain, Cochain, normalized_chains
-from effhom.em import (EMSpace, _cell_from_bars, cochain_to_map, cone_raw,
-                       delta_map, em_equivalence, ev, kz1_equivalence,
-                       map_to_cochain, path_fibration, potential_to_raw,
-                       pseudo_section_psi, raw_to_potential, split_maps,
-                       twisting_tau)
+from effhom.bar import TwistedProductSSet, check_twist_axioms
+from effhom.em import (EMSpace, _cell_from_bars, bockstein, cochain_to_map,
+                       cone_raw, delta_map, em_equivalence, ev,
+                       kz1_equivalence, map_to_cochain, path_fibration,
+                       potential_to_raw, pseudo_section_psi, pulled_back_twist,
+                       raw_to_potential, split_maps, twisting_tau)
 from effhom.reduction import equipped_homology
 from effhom.simplicial import nondeg, product, standard_simplex
-from helpers import (assert_dd_zero, assert_reduction_axioms,
+from helpers import (assert_dd_zero, assert_reduction_axioms, carry_twist,
                      equipment_samples, random_cochain_raw,
                      random_cocycle_raw)
 
@@ -212,10 +213,11 @@ def path_cells(G, K1, TP, ell, rng, draws=6):
 @pytest.mark.parametrize("group, n", [(Z, 1), (cyclic(2), 1), (Z, 2)],
                          ids=["Z1", "Z2_1", "Z2"])
 def test_path_fibration_contraction(group, n):
-    from effhom.bar import check_twist_axioms
     G = EMSpace(group, n)
-    K1, tau, total = path_fibration(G)
+    total = path_fibration(G)
     TP, C = total.obj, total.chains
+    K1 = TP.Y
+    assert TP.X is G and K1.group == group and K1.n == n + 1
     red = total.eq.right
     rng = random.Random(43 + n)
     # the cone simplex: d0 c = z, tau(c) = gamma, and c is a cocycle
@@ -227,8 +229,8 @@ def test_path_fibration_contraction(group, n):
         assert K1.raw_face(0, c) == z
         assert twisting_tau(G, c) == gamma
         assert K1.is_cocycle(c)
-    check_twist_axioms(G, K1, tau, [K1.canon(random_cocycle_raw(K1, m, rng))
-                                    for m in (1, 2, 3, 3, 4)])
+    check_twist_axioms(TP, [K1.canon(random_cocycle_raw(K1, m, rng))
+                            for m in (1, 2, 3, 3, 4)])
     # contraction axioms on seeded chains (the source has no basis)
     for k in range(1, 5):
         for _ in range(3):
@@ -312,17 +314,55 @@ def primary_invariants(group):
     return (group.rank, tuple(sorted(prim)))
 
 
+def cyclic_simplices(Bm, rng, count, max_dim=5):
+    """Seeded simplices of K(Z/m,1) from random potentials, with a random
+    degeneracy applied to every other one."""
+    m = Bm.group.mm[0]
+    out = []
+    for j in range(count):
+        k = rng.randint(0, max_dim)
+        s = Bm.canon(potential_to_raw(
+            Bm, [(rng.randint(0, m - 1),) for _ in range(k)]))
+        if j % 2:
+            s = Bm.degeneracy(rng.randint(0, s.dim), s)
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_bockstein_twist_is_the_carry_twist(m):
+    G, Bm = EMSpace(Z, 1), EMSpace(cyclic(m), 1)
+    tau = pulled_back_twist(G, bockstein(Bm))
+    oracle = carry_twist(G, Bm)
+    cells = [s for s in cyclic_simplices(Bm, random.Random(m), 120)
+             if s.dim >= 1]
+    assert {s.is_degenerate() for s in cells} == {False, True}
+    for s in cells:
+        assert tau(s) == oracle(s), f"twists differ on {s!r}"
+
+
 def test_kzm1_twist_axioms():
-    from effhom.bar import check_twist_axioms
-    from effhom.em import kzm1_twist
     G = EMSpace(Z, 1)
     for m in (2, 3, 5):
         Bm = EMSpace(cyclic(m), 1)
-        rng = random.Random(m)
-        cells = [Bm.canon(potential_to_raw(
-            Bm, [(rng.randint(0, m - 1),) for _ in range(k)]))
-            for k in (1, 2, 3, 3, 2) for _ in range(2)]
-        check_twist_axioms(G, Bm, kzm1_twist(G, Bm), cells)
+        cells = cyclic_simplices(Bm, random.Random(m), 20, max_dim=3)
+        TP = TwistedProductSSet(G, Bm, pulled_back_twist(G, bockstein(Bm)))
+        check_twist_axioms(TP, cells)
+
+
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_bockstein_is_a_simplicial_map_into_cocycles(m):
+    Bm = EMSpace(cyclic(m), 1)
+    beta = bockstein(Bm)
+    K2 = beta.target
+    assert K2.group == Z and K2.n == 2
+    for s in cyclic_simplices(Bm, random.Random(100 + m), 60):
+        img = beta(s)
+        assert img.dim == s.dim and K2.is_cocycle(K2.uncanon(img))
+        for i in range(s.dim + 1):
+            if s.dim >= 1:
+                assert beta(Bm.face(i, s)) == K2.face(i, img)
+            assert beta(Bm.degeneracy(i, s)) == K2.degeneracy(i, img)
 
 
 def test_cyclic_em1_homology():

@@ -2,7 +2,7 @@ import random
 from math import comb
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP
-from effhom.chains import (Chain, normalized_chains, homology_groups,
+from effhom.chains import (Chain, normalized_chains, homology_groups, tensor,
                            tensor_of_chains)
 from effhom.ez import (ez_reduction, product_equivalence,
                        tensor_of_equivalences, tensor_of_reductions)
@@ -13,9 +13,16 @@ from effhom.simplicial import nondeg, product, sphere, standard_simplex
 from helpers import assert_chain_map, assert_reduction_axioms, rp2
 
 
+def ez_of(X, Y):
+    """The Eilenberg-Zilber reduction of X x Y, on fresh chain complexes."""
+    P = product(X, Y)
+    return ez_reduction(P, normalized_chains(P),
+                        tensor([normalized_chains(X), normalized_chains(Y)]))
+
+
 def test_aw_low_degrees():
     X = standard_simplex(1)
-    red = ez_reduction(X, X)
+    red = ez_of(X, X)
     P = product(X, X)
     # degree 0: (v, w) -> v (x) w
     v, w = nondeg((0,), 0), nondeg((1,), 0)
@@ -32,7 +39,7 @@ def test_aw_low_degrees():
 def test_eml_shuffle_count_and_signs():
     X = sphere(1)
     C = normalized_chains(X)
-    red = ez_reduction(X, X)
+    red = ez_of(X, X)
     from effhom.chains import TensorCell
     e = nondeg((0, 1), 1)
     cell = TensorCell((e, e), (1, 1))
@@ -41,39 +48,39 @@ def test_eml_shuffle_count_and_signs():
     assert sorted(out.terms.values()) == [-1, 1]
     # term count = C(p+q, p) in higher degree too
     X2 = sphere(2)
-    red2 = ez_reduction(X2, X2)
+    red2 = ez_of(X2, X2)
     t = nondeg((0, 1, 2), 2)
     cell2 = TensorCell((t, t), (2, 2))
     assert len(red2.g.on_cell(cell2).terms) == comb(4, 2)
 
 
 def test_aw_eml_identity_on_basis():
-    red = ez_reduction(sphere(1), sphere(1))
+    red = ez_of(sphere(1), sphere(1))
     for k in range(4):
         for c in red.target.basis(k):
             assert red.f(red.g.on_cell(c)) == Chain.single(c, k)
 
 
 def test_shi_vanishes_on_vertices():
-    red = ez_reduction(sphere(1), sphere(1))
+    red = ez_of(sphere(1), sphere(1))
     for c in red.source.basis(0):
         assert red.h.on_cell(c).is_zero()
 
 
 def test_ez_axioms_on_torus():
-    red = ez_reduction(sphere(1), sphere(1))
+    red = ez_of(sphere(1), sphere(1))
     assert_reduction_axioms(red, 3, samples=25)
     assert_chain_map(red.f, 3)
     assert_chain_map(red.g, 3)
 
 
 def test_ez_axioms_on_mixed_product():
-    red = ez_reduction(sphere(2), standard_simplex(1))
+    red = ez_of(sphere(2), standard_simplex(1))
     assert_reduction_axioms(red, 3, samples=15)
 
 
 def test_torus_homology_via_ez():
-    red = ez_reduction(sphere(1), sphere(1))
+    red = ez_of(sphere(1), sphere(1))
     # homology of the tensor target agrees with brute force on the product
     assert homology_groups(red.target, 2) == [Z, AbGroup((0, 0)), Z]
     brute = normalized_chains(product(sphere(1), sphere(1)))
@@ -81,12 +88,12 @@ def test_torus_homology_via_ez():
 
 
 def test_s2_x_s1_homology_via_ez():
-    red = ez_reduction(sphere(2), sphere(1))
+    red = ez_of(sphere(2), sphere(1))
     assert homology_groups(red.target, 3) == [Z, Z, Z, Z]
 
 
 def test_rp2_x_s1_homology_via_ez():
-    red = ez_reduction(rp2(), sphere(1))
+    red = ez_of(rp2(), sphere(1))
     # Kunneth: (Z, Z + Z/2, Z/2, 0)
     assert homology_groups(red.target, 3) == \
         [Z, AbGroup((0, 2)), AbGroup((2,)), ZERO_GROUP]

@@ -1,5 +1,6 @@
 import random
 import warnings
+from itertools import combinations
 
 import pytest
 import sympy
@@ -88,6 +89,24 @@ def test_non_simply_connected_input_rejected():
     Y = equip(circle, "C(circle)")
     with pytest.raises(ValueError, match="not\\s+simply connected"):
         build_tower(Y, 2)
+
+
+def collapse(X, name):
+    return collapse_equipment(X, normalized_chains(X, name=name))
+
+
+@pytest.mark.parametrize("equipment", [equip, collapse],
+                         ids=["trivial", "collapse"])
+@pytest.mark.parametrize("X, reason", [
+    (from_facets([f for v in (0, 4) for f in
+                  combinations(range(v, v + 4), 3)]),
+     "not connected: it has 2 components"),
+    (FinSSet({}, {}), "empty"),
+], ids=["two-spheres", "empty"])
+def test_empty_or_disconnected_input_rejected(equipment, X, reason):
+    Y = equipment(X, "C(X)")
+    with pytest.raises(ValueError, match=f"the input is {reason}"):
+        build_tower(Y, 3)
 
 
 def test_evaluate_phi_examples():
@@ -278,7 +297,7 @@ TWO_SPHERES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
                                    AbGroup((0, 0, 0))]),
 ], ids=["stacked24", "S3", "S2vS2"])
 def test_collapsed_tower_matches_the_trivial_one(own_caches, X, k, groups):
-    Y = collapse_equipment(X, normalized_chains(X, name="C(Y)"))
+    Y = collapse(X, "C(Y)")
     T = build_tower(Y, k)
     trivial = build_tower(equip(X, "C(Y)"), k)
     assert [st.pi_i for st in T.stages] == groups

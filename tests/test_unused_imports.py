@@ -1,4 +1,5 @@
-"""Every name a module of effhom or of its tests imports is used there."""
+"""Every name a module of effhom or of its tests imports is used there, and
+every parameter of an effhom function is read by its body."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ import effhom.cli
 
 SRC = Path(effhom.cli.__file__).parent
 TESTS = Path(__file__).parent
-MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = SOURCES + sorted(TESTS.glob("*.py"))
 
 
 def _annotations(tree):
@@ -43,6 +45,42 @@ def unused_imports(source: str):
                   if name not in used)
 
 
+def _only_raises_not_implemented(fn):
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant):
+        body = body[1:]                       # the docstring
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unused_parameters(source: str):
+    """(line, function, parameter) for every parameter a body never reads.
+
+    Nested functions count as functions of their own, and a read inside a
+    nested function counts for the parameter it closes over.  `self`,
+    `cls`, names starting with `_` and bodies that only raise
+    NotImplementedError are exempt.
+    """
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or _only_raises_not_implemented(fn):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs \
+            + [p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(fn.lineno, fn.name, p.arg) for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")]
+    return sorted(out)
+
+
 def test_modules_are_found():
     assert {p.stem for p in MODULES} >= {"cli", "em", "ez", "reduction",
                                          "helpers", "test_em"}
@@ -57,3 +95,19 @@ def test_checker_flags_an_unused_import():
     src = ("from os import path, sep\nimport sys\nimport json\n"
            "def f(x: 'json.JSONDecoder') -> None:\n    print(sep, 'sys')\n")
     assert unused_imports(src) == [(1, "path"), (2, "sys")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_checker_flags_an_unused_parameter():
+    src = ("class A:\n"
+           "    def m(self, x, _y):\n        raise NotImplementedError\n"
+           "    def n(self, x, *args, k=0, **kw):\n"
+           "        def inner(a, b):\n            return a + x\n"
+           "        return inner(k, kw)\n"
+           "def f(cls, seed, samples):\n    return seed\n")
+    assert unused_parameters(src) == [(4, "n", "args"), (5, "inner", "b"),
+                                      (8, "f", "samples")]
