@@ -8,6 +8,11 @@ the other way -- recovering equipment for B from equipment of the total
 space and the fibre -- is "twisted division": run the bar construction of
 A = C(G) over the (perturbed) total tensor complex and collapse it back
 onto C(B) with the standard bar contraction.
+
+Each twist is evaluated only where it acts (Shih; Brown, "The twisted
+Eilenberg-Zilber theorem"): on a product cell the perturbation is the
+twisted minus the untwisted 0-face, and on a bar word it is the induced
+twist of the total tensor complex applied to the coefficient slot.
 """
 
 from __future__ import annotations
@@ -82,19 +87,42 @@ class TwistedProductSSet(ProductSSet):
         return self.pair(G.canon(G.raw_add(rg, rt)), B.face(0, base.b))
 
 
-def _twisted_reduction(red: Reduction, CTP: CCx) -> Reduction:
-    """Carry a reduction of C(G x B) over to C(G x_tau B) = CTP.
+def _zero_face_twist(TP: TwistedProductSSet, CP: CCx) -> ChainMap:
+    """The twist perturbation d(C(G x_tau B)) - d(C(G x B)), on CP = C(G x B).
 
-    The twist changes only the differential; its difference with the
-    untwisted one is a perturbation that strictly drops the base filtration,
-    so the basic lemma's series are nilpotent within degree + 1 steps.
+    The twist changes only the 0-face, so on a cell sigma it is
+    [d0^tau sigma] - [d0 sigma]: the twisted minus the untwisted 0-face,
+    each dropped when degenerate, and zero when the two agree (for
+    instance when tau of the base is the unit).
     """
-    CP = red.source
+    G, B = TP.X, TP.Y
 
-    def tw_cell(cell):
-        return CTP.diff_cell(cell) - CP.diff_cell(cell)
+    def on_cell(cell):
+        out = Chain(cell.dim - 1)
+        if cell.dim == 0:
+            return out
+        a, b = TP.components(cell)
+        twisted = TP.face(0, cell)
+        plain = TP.pair(G.face(0, a), B.face(0, b))
+        if twisted != plain:
+            if not twisted.is_degenerate():
+                out._add(twisted, 1)
+            if not plain.is_degenerate():
+                out._add(plain, -1)
+        return out
 
-    return basic_perturbation(red, CTP, ChainMap(CP, CP, tw_cell, shift=-1))
+    return ChainMap(CP, CP, on_cell, shift=-1)
+
+
+def _twisted_reduction(red: Reduction, TP: TwistedProductSSet,
+                       CTP: CCx) -> Reduction:
+    """Carry a reduction of C(G x B) over to CTP = C(G x_tau B).
+
+    The perturbation is `_zero_face_twist`.  It strictly drops the base
+    filtration, so the basic lemma's series are nilpotent within
+    degree + 1 steps.
+    """
+    return basic_perturbation(red, CTP, _zero_face_twist(TP, red.source))
 
 
 def twisted_product_equivalence(F_eq: Equipped, B_eq: Equipped,
@@ -108,7 +136,7 @@ def twisted_product_equivalence(F_eq: Equipped, B_eq: Equipped,
     TP = TwistedProductSSet(F_eq.obj, B_eq.obj, tau)
     CTP = normalized_chains(TP)
     un = product_equivalence([F_eq, B_eq])
-    red = _twisted_reduction(un.red, CTP)
+    red = _twisted_reduction(un.red, TP, CTP)
     eq = perturb_strong_equivalence(un.eq, red.target, red.target.delta)
     return Equipped(TP, CTP, eq, red)
 
@@ -191,7 +219,7 @@ def augmentation(A: CCx, Zc: CCx) -> ChainMap:
     return ChainMap(A, Zc, on_cell, name="aug")
 
 
-def suspended_ideal(A: CCx, name=None) -> CCx:
+def suspended_ideal(A: CCx) -> CCx:
     """Cells of A in degrees >= 1, shifted up one degree, differential -d.
 
     Well defined when A is 0-reduced: the degree-1 cells of A are cycles, so
@@ -213,7 +241,7 @@ def suspended_ideal(A: CCx, name=None) -> CCx:
             return A.basis(k - 1) if k >= 2 else []
 
     return CCx(dim_fn, diff_cell, basis_fn,
-               name=name or (f"{A.name}^" if A.name else "Abar"))
+               name=f"{A.name}^" if A.name else "Abar")
 
 
 def suspended_ideal_equivalence(eqA: StrongEq, vertex) -> StrongEq:
@@ -443,23 +471,39 @@ def bar_inverse_reduction(bar: CCx, M: CCx, unit: Simplex) -> Reduction:
 # twisted division
 # ---------------------------------------------------------------------------
 
-def twisted_division(G_eq: Equipped, total_eq: Equipped) -> Equipped:
-    """Recover equipment for the base B of a twisted product G x_tau B.
+def _coefficient_twist(bar0: CCx, Q: CCx) -> ChainMap:
+    """The twist perturbation of the bar construction, on bar0.
 
-    The total space must be a `TwistedProductSSet` over the fibre that
-    G_eq equips, and the roofs of the fibre and of the total space must
-    start at their chains (no reduction in front), or the division is
-    refused.
+    bar0 is the bar construction over the untwisted tensor complex and Q
+    that complex perturbed by `Q.delta`.  The bar constructions over the
+    two differ in the coefficient slot only:
 
-    Steps: perturb the Eilenberg-Zilber reduction of C(G x B) by the twist
-    to reach Q = A (x) C(B) with a twisted differential, and append it to
-    the left leg of the total space's equipment, which then starts at Q.
-    Equip the bar construction of A over Q with the bar equivalence.  The
-    difference of the bar differentials over Q and over the untwisted
-    tensor complex perturbs the standard bar contraction onto C(B); the
-    induced perturbation on C(B) vanishes (a structural fact that is
-    asserted at runtime), and the perturbed contraction is appended to
-    the left leg of the bar equivalence.
+        delta_bar(a1, ..., an, y) = (-1)^e (a1, ..., an, Q.delta(y)),
+
+    where e = |a1| + ... + |an| sums the suspended degrees.
+    """
+    delta = Q.delta
+
+    def on_cell(cell):
+        *word, y = cell.parts
+        dy = delta.on_cell(y)
+        sign = -1 if sum(cell.dims[:-1]) % 2 else 1
+        dims = cell.dims[:-1] + (dy.degree,)
+        out = Chain(cell.degree - 1)
+        for c, v in dy.items():
+            out._add(TensorCell((*word, c), dims), sign * v)
+        return out
+
+    return ChainMap(bar0, bar0, on_cell, shift=-1)
+
+
+def _division_bars(G_eq: Equipped, total_eq: Equipped):
+    """The bar constructions of a twisted division, as (bar_eq, Q, inv).
+
+    Q = A (x) C(B) with the twisted differential that the perturbed
+    Eilenberg-Zilber reduction induces; bar_eq equips the bar construction
+    of A = C(G) over Q, its big end; inv is the standard bar contraction of
+    the bar construction over the untwisted A (x) C(B) onto C(B).
     """
     TP = total_eq.obj
     if not isinstance(TP, TwistedProductSSet):
@@ -477,7 +521,7 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped) -> Equipped:
     P_un = product(G, B)
     T0 = tensor([A, CB])
     red2 = _twisted_reduction(ez_reduction(P_un, normalized_chains(P_un), T0),
-                              total_eq.chains)
+                              TP, total_eq.chains)
     eq_Q = conjugate_big(total_eq.eq, red2)
 
     dga = em_product(G, A)
@@ -493,14 +537,31 @@ def twisted_division(G_eq: Equipped, total_eq: Equipped) -> Equipped:
     ext = external_differential(dga.mul_cells, act)
     entry_eq = suspended_ideal_equivalence(G_eq.eq, unit)
     bar_eq = bar_equivalence(entry_eq, eq_Q, ext)
-    barQ = bar_eq.big
     bar0 = _word_complex(_strata(entry_eq.big, T0), ext, name="Bar0")
-    inv = bar_inverse_reduction(bar0, CB, unit)
+    return bar_eq, eq_Q.big, bar_inverse_reduction(bar0, CB, unit)
 
-    def dbar_cell(cell):
-        return barQ.diff_cell(cell) - bar0.diff_cell(cell)
 
-    red4 = basic_perturbation(inv, barQ,
-                              ChainMap(bar0, bar0, dbar_cell, shift=-1),
+def twisted_division(G_eq: Equipped, total_eq: Equipped) -> Equipped:
+    """Recover equipment for the base B of a twisted product G x_tau B.
+
+    The total space must be a `TwistedProductSSet` over the fibre that
+    G_eq equips, and the roofs of the fibre and of the total space must
+    start at their chains (no reduction in front), or the division is
+    refused.
+
+    Steps (`_division_bars`): perturb the Eilenberg-Zilber reduction of
+    C(G x B) by the twist to reach Q = A (x) C(B) with a twisted
+    differential, and append it to the left leg of the total space's
+    equipment, which then starts at Q.  Equip the bar construction of A
+    over Q with the bar equivalence.  The twist of Q, which acts on the
+    coefficient slot of a bar word only (`_coefficient_twist`), perturbs
+    the standard bar contraction of the untwisted bar construction onto
+    C(B); the induced perturbation on C(B) vanishes (a structural fact
+    that is asserted at runtime), and the perturbed contraction is
+    appended to the left leg of the bar equivalence.
+    """
+    bar_eq, Q, inv = _division_bars(G_eq, total_eq)
+    delta = _coefficient_twist(inv.source, Q)
+    red4 = basic_perturbation(inv, bar_eq.big, delta,
                               check_zero_small_delta=True)
-    return Equipped(B, CB, conjugate_big(bar_eq, red4))
+    return Equipped(total_eq.obj.Y, inv.target, conjugate_big(bar_eq, red4))

@@ -237,10 +237,9 @@ def normalized_chains(X, name=None) -> CCx:
                name=name or f"C({getattr(X, 'name', None) or X.__class__.__name__})")
 
 
-def induced_chain_map(f, CX=None, CY=None) -> ChainMap:
-    """Chain map of a simplicial map: degenerate images go to zero."""
-    CX = CX if CX is not None else normalized_chains(f.source)
-    CY = CY if CY is not None else normalized_chains(f.target)
+def induced_chain_map(f, CX: CCx, CY: CCx) -> ChainMap:
+    """Chain map CX = C(f.source) -> CY = C(f.target) of a simplicial map:
+    degenerate images go to zero."""
 
     def on_cell(s):
         img = f(s)

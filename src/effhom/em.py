@@ -377,11 +377,20 @@ def kzm1_equivalence(m: int) -> Equipped:
     """Equip K(Z/m,1) by dividing K(Z,1) -> K(Z,1) x_tau K(Z/m,1) -> K(Z/m,1).
 
     The fibration is the path fibration of K(Z,1) pulled back along the
-    Bockstein.  Its total space is simplicially isomorphic to K(Z,1) in
-    potential coordinates via c_i = m a_i + iota(b_i) (iota: Z/m ->
-    {0..m-1}), since the twist has potentials (iota(b_{i+1}) - iota(b_1)
-    - iota(b_{i+1} - b_1)) / m.  Transport the circle equipment through
-    the isomorphism and divide.
+    Bockstein (`kzm1_fibration`).
+    """
+    return twisted_division(*kzm1_fibration(m))
+
+
+def kzm1_fibration(m: int):
+    """The equipped fibre K(Z,1) and total space K(Z,1) x_tau K(Z/m,1) of
+    the Bockstein pullback of the path fibration of K(Z,1).
+
+    The total space is simplicially isomorphic to K(Z,1) in potential
+    coordinates via c_i = m a_i + iota(b_i) (iota: Z/m -> {0..m-1}), since
+    the twist has potentials (iota(b_{i+1}) - iota(b_1) - iota(b_{i+1} -
+    b_1)) / m.  It is equipped by transporting the circle equipment
+    through the isomorphism.
     """
     if m < 2:
         raise ValueError("the cyclic order must be at least 2")
@@ -416,7 +425,7 @@ def kzm1_equivalence(m: int) -> Equipped:
         kz1.eq, iso_as_reduction(kz1.chains, CTP,
                                  induced_chain_map(bwd, kz1.chains, CTP),
                                  induced_chain_map(fwd, CTP, kz1.chains))))
-    return twisted_division(kz1, total)
+    return kz1, total
 
 
 def _em1_equivalence(pi: AbGroup) -> Equipped:

@@ -174,11 +174,11 @@ def tensor_of_reductions(reds, source=None, target=None) -> Reduction:
                      ChainMap(source, source, H_cell, shift=1))
 
 
-def tensor_of_equivalences(eqs, big=None) -> StrongEq:
-    """Slotwise tensor of strong equivalences."""
+def tensor_of_equivalences(eqs, big) -> StrongEq:
+    """Slotwise tensor of strong equivalences; `big` is the tensor of their
+    big ends."""
     eqs = list(eqs)
     middle = tensor([e.middle for e in eqs])
-    big = big if big is not None else tensor([e.big for e in eqs])
     small = tensor([e.small for e in eqs])
     left = tensor_of_reductions([e.left for e in eqs], source=middle, target=big)
     right = tensor_of_reductions([e.right for e in eqs], source=middle,

@@ -67,6 +67,20 @@ def carry_twist(G, Bm):
     return tau
 
 
+def zero_face_twist_oracle(CTP, CP):
+    """The twist perturbation of C(G x_tau B) as the difference of two whole
+    differentials, d(CTP) - d(CP) with CP = C(G x B), on a cell.  An oracle
+    for `effhom.bar._zero_face_twist`."""
+    return lambda cell: CTP.diff_cell(cell) - CP.diff_cell(cell)
+
+
+def coefficient_twist_oracle(barQ, bar0):
+    """The twist perturbation of a bar construction as the difference of the
+    bar differentials over the twisted and the untwisted tensor complex, on
+    a word.  An oracle for `effhom.bar._coefficient_twist`."""
+    return lambda cell: barQ.diff_cell(cell) - bar0.diff_cell(cell)
+
+
 # directory holding the `effhom` package this process imported (`src/`);
 # `effhom` has no __init__.py, so locate it through one of its modules
 SRC_DIR = Path(effhom.cli.__file__).resolve().parents[1]

@@ -3,20 +3,23 @@ import random
 import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
-from effhom.bar import (TwistedProductSSet, _strata, _word_complex,
+from effhom.bar import (TwistedProductSSet, _coefficient_twist,
+                        _division_bars, _strata, _word_complex,
                         bar_inverse_reduction, em_product,
                         external_differential, pullback_fibration,
                         suspended_ideal, suspended_ideal_equivalence,
                         twisted_division, twisted_product_equivalence)
 from effhom.chains import (Chain, TensorCell, normalized_chains, tensor,
                            z_complex)
-from effhom.em import EMSpace, _cell_from_bars, kz1_equivalence
+from effhom.em import (EMSpace, _cell_from_bars, em_equivalence,
+                       kz1_equivalence, kzm1_fibration, path_fibration)
 from effhom.ez import ez_reduction, product_equivalence, tensor_of_reductions
 from effhom.reduction import (Equipped, compose_reductions, equipped_homology,
                               identity_reduction, reduction_as_equivalence,
                               trivial_equipment, trivial_equivalence)
 from effhom.simplicial import nondeg, product, sphere
-from helpers import assert_dd_zero
+from helpers import (assert_dd_zero, coefficient_twist_oracle,
+                     random_cocycle_raw)
 
 
 def unit_twist(G):
@@ -252,3 +255,48 @@ def test_pullback_fibration_path_loop_space_is_contractible():
     out = pullback_fibration(K2eq, f, em_equivalence(Z, 1))
     groups = [equipped_homology(out, k).group for k in range(4)]
     assert groups == [Z, ZERO_GROUP, ZERO_GROUP, ZERO_GROUP]
+
+
+def path_division(pi):
+    """The fibre and total space that K(pi,2) is divided from."""
+    G_eq = em_equivalence(pi, 1)
+    return G_eq, path_fibration(G_eq.obj)
+
+
+@pytest.mark.parametrize("division", [
+    lambda: path_division(Z), lambda: path_division(cyclic(2)),
+    lambda: kzm1_fibration(3)], ids=["K(Z,2)", "K(Z/2,2)", "K(Z/3,1)"])
+def test_coefficient_twist_is_the_difference_of_bar_differentials(division):
+    """The twist of a bar construction, read off the coefficient slot,
+    equals the difference of the bar differentials over Q and over the
+    untwisted tensor complex, on seeded words (a_1, ..., a_n, (g, b)) of
+    length n = 0, 1, 2.  The sample has words on which it is nonzero, with
+    an even and with an odd suspended prefix degree."""
+    G_eq, total = division()
+    bar_eq, Q, inv = _division_bars(G_eq, total)
+    delta = _coefficient_twist(inv.source, Q)
+    oracle = coefficient_twist_oracle(bar_eq.big, inv.source)
+    G, B = total.obj.X, total.obj.Y
+    rng = random.Random(5)
+
+    def simplex(S, m):
+        """A seeded nondegenerate m-simplex of S (m = 0 or m >= S.n)."""
+        while True:
+            s = S.canon(random_cocycle_raw(S, m, rng, rng.choice((0.3, 0.6))))
+            if not s.is_degenerate():
+                return s
+
+    nonzero_parities = set()
+    for n in range(3):
+        for _ in range(12):
+            entries = [simplex(G, rng.randint(1, 2)) for _ in range(n)]
+            g = simplex(G, rng.randint(0, 2))
+            b = simplex(B, B.n + rng.randint(0, 1))
+            y = TensorCell((g, b), (g.dim, b.dim))
+            word = TensorCell((*entries, y),
+                              tuple(a.dim + 1 for a in entries) + (y.degree,))
+            out = delta.on_cell(word)
+            assert out == oracle(word), word
+            if not out.is_zero():
+                nonzero_parities.add(sum(word.dims[:-1]) % 2)
+    assert nonzero_parities == {0, 1}

@@ -61,7 +61,7 @@ def test_induced_chain_map_is_chain_map():
     X = standard_simplex(2)
     Y = standard_simplex(1)
     f = vertex_map(X, Y, {0: 0, 1: 0, 2: 1})
-    m = induced_chain_map(f)
+    m = induced_chain_map(f, normalized_chains(X), normalized_chains(Y))
     assert_chain_map(m, 2)
     # the collapsed 2-cell maps to a degenerate simplex, hence to zero
     assert m.on_cell(nondeg((0, 1, 2), 2)).is_zero()

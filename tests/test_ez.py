@@ -130,7 +130,8 @@ def test_tensor_of_equivalences():
     from test_reduction import sphere_morse_reduction
     r = sphere_morse_reduction(2)
     e = reduction_as_equivalence(r)
-    te = tensor_of_equivalences([e, trivial_equivalence(r.source)])
+    te = tensor_of_equivalences([e, trivial_equivalence(r.source)],
+                                tensor([e.big, r.source]))
     assert_reduction_axioms(te.left, 3, samples=8)
     assert_reduction_axioms(te.right, 3, samples=8)
 

@@ -6,17 +6,21 @@ import pytest
 import sympy
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
+from effhom.bar import _zero_face_twist
 from effhom.chains import (Chain, complex_homology, diff_matrix,
                            homology_groups, induced_chain_map,
                            normalized_chains)
+from effhom.em import EMSpace, cone_raw
 from effhom.postnikov import (build_tower, evaluate_k_invariant, evaluate_phi,
                               homotopy_group, point_space, verify_tower)
 from effhom.reduction import (collapse_equipment, cone_equipment,
                               trivial_equipment)
-from effhom.simplicial import FinSSet, Simplex, from_facets, nondeg, sphere
+from effhom.simplicial import (FinSSet, Simplex, from_facets, nondeg, product,
+                               sphere)
 from effhom.smith import smith_normal_form
 from helpers import (RP2_FACETS, assert_reduction_axioms, equipment_samples,
-                     random_cocycle_raw, stacked_sphere, tower_fingerprint)
+                     random_cocycle_raw, stacked_sphere, tower_fingerprint,
+                     zero_face_twist_oracle)
 
 
 def equip(X, name):
@@ -283,6 +287,81 @@ TOWER_DIGESTS = {
 def test_tower_fingerprint_is_pinned(name, X, k):
     T = build_tower(equip(X, "C(Y)"), k)
     assert tower_fingerprint(T) == TOWER_DIGESTS[name]
+
+
+def stage_cell(T, i, m, fibre_simplex):
+    """The m-simplex (a_i, (a_{i-1}, ..., (a_1, pt))) of P_i, where a_j is
+    fibre_simplex(j, K) for the fibre K = K(pi_j, j) of P_j."""
+    pt = T.P0.obj
+    s = pt.apply_degeneracies(pt.simplex(pt.cells(0)[0]), range(m))
+    for j in range(1, i + 1):
+        P = T.stage(j).P_i.obj
+        s = P.pair(fibre_simplex(j, P.X), s)
+    return s
+
+
+def cone_over_degenerate(K, m, rng):
+    """A seeded m-simplex of K = K(pi,n) whose 0-face is degenerate: the
+    cone (`em.cone_raw`) over a degenerated (m-2)-simplex."""
+    z = K.raw_degeneracy(rng.randrange(m - 1),
+                         random_cocycle_raw(K, m - 2, rng, 0.5))
+    gamma = random_cocycle_raw(EMSpace(K.group, K.n - 1), m - 1, rng, 0.5)
+    return K.canon(cone_raw(K, gamma, z))
+
+
+@pytest.mark.parametrize("X, k", [(sphere(2), 4), (minimal_sphere(3), 5),
+                                  (sphere_wedge(3), 3)],
+                         ids=["S2", "S3", "wedge3"])
+def test_zero_face_twist_is_the_difference_of_differentials(own_caches, X, k):
+    """On every twisted stage P_i = K(pi_i,i) x_tau P_{i-1}, the twist
+    perturbation read off the 0-faces equals d(C(P_i)) - d(C(K x P_{i-1}))
+    on seeded cells: random ones up to dimension i + 1 (5 at most, which
+    keeps the k-invariants cheap), and (i + 1)-cells (unit, b) whose base
+    b = (cone over a degenerate simplex, unit) of P_{i-1} has a degenerate
+    0-face.  The sample has cells whose 0-faces differ, and among them
+    cells with a degenerate 0-face, which drops out."""
+    T = build_tower(equip(X, "C(Y)"), k)
+    differ = degenerate = 0
+    for i in range(1, k + 1):
+        TP = T.stage(i).P_i.obj
+        # fresh complexes: the stage's own chains keep no differential
+        CTP, CP = normalized_chains(TP), normalized_chains(product(TP.X, TP.Y))
+        delta = _zero_face_twist(TP, CP)
+        oracle = zero_face_twist_oracle(CTP, CP)
+        rng = random.Random(i)
+        cells = [stage_cell(T, i, m, lambda j, K: K.canon(random_cocycle_raw(
+                     K, m, rng, rng.choice((0.2, 0.5)))))
+                 for m in range(1, min(i + 1, 5) + 1) for _ in range(4)]
+        if i >= 3:
+            cells += [stage_cell(T, i, i + 1, lambda j, K: (
+                          cone_over_degenerate(K, i + 1, rng) if j == i - 1
+                          else K.zero_simplex(i + 1)))
+                      for _ in range(8)]
+        for s in cells:
+            if s.is_degenerate():
+                continue
+            assert delta.on_cell(s) == oracle(s), (i, s)
+            a, b = TP.components(s)
+            faces = TP.face(0, s), TP.pair(TP.X.face(0, a), TP.Y.face(0, b))
+            if faces[0] != faces[1]:
+                differ += 1
+                degenerate += any(f.is_degenerate() for f in faces)
+    assert differ > degenerate > 0
+
+
+def test_k2_evaluation_reads_no_twisted_differential(own_caches):
+    """The perturbation series behind k_2 perturb each twisted product by
+    its 0-faces alone: after k_2 on seeded 4-simplices of P_2, no stage's
+    twisted chains has evaluated its differential."""
+    T = build_tower(equip(sphere(2), "C(S2)"), 4)
+    P1, P2 = T.stage(1).P_i.obj, T.stage(2).P_i.obj
+    b = P1.apply_degeneracies(T.stage(1).phi_i(nondeg((0,), 0)), range(4))
+    rng = random.Random(2)
+    for _ in range(6):
+        a = P2.X.canon(random_cocycle_raw(P2.X, 4, rng, density=0.4))
+        if not a.is_degenerate():
+            evaluate_k_invariant(T, 3, P2.pair(a, b))
+    assert [len(st.P_i.chains._diff_cache) for st in T.stages] == [0] * 4
 
 
 # two boundaries of tetrahedra sharing the vertex 0
