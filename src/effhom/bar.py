@@ -7,7 +7,9 @@ product (the twist only changes the differential, not the cells).  Going
 the other way -- recovering equipment for B from equipment of the total
 space and the fibre -- is "twisted division": run the bar construction of
 A = C(G) over the (perturbed) total tensor complex and collapse it back
-onto C(B) with the standard bar contraction.
+onto C(B) with the standard bar contraction.  The entries of the bar
+construction, the suspended augmentation ideal of A, are equipped by
+suspending the roof of A end by end and leg by leg.
 
 Each twist is evaluated only where it acts (Shih; Brown, "The twisted
 Eilenberg-Zilber theorem"): on a product cell the perturbation is the
@@ -19,14 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import (CCx, Chain, ChainMap, Tag, TensorCell, normalized_chains,
-                     tensor, z_complex)
+from .chains import (CCx, Chain, ChainMap, TensorCell, normalized_chains,
+                     tensor)
 from .ez import (_shuffles, ez_reduction, product_equivalence,
-                 tensor_of_reductions)
+                 tensor_of_equivalences)
 from .reduction import (Equipped, Reduction, StrongEq, basic_perturbation,
-                        cone_roof, conjugate_big, conjugate_small,
-                        morse_reduction, perturb_strong_equivalence,
-                        trivial_equivalence)
+                        conjugate_big, perturb_strong_equivalence)
 from .simplicial import ProductSSet, Simplex, product
 
 
@@ -209,22 +209,17 @@ def em_product(G, C: CCx) -> DGA:
 # the suspended augmentation ideal and its equipment
 # ---------------------------------------------------------------------------
 
-def augmentation(A: CCx, Zc: CCx) -> ChainMap:
-    """eps: A -> Z, assuming A is 0-reduced (all vertices map to 1)."""
-
-    def on_cell(cell):
-        k = A.cell_dim(cell)
-        return Chain.single("*", 0) if k == 0 else Chain.zero(k)
-
-    return ChainMap(A, Zc, on_cell, name="aug")
-
-
 def suspended_ideal(A: CCx) -> CCx:
     """Cells of A in degrees >= 1, shifted up one degree, differential -d.
 
-    Well defined when A is 0-reduced: the degree-1 cells of A are cycles, so
-    the differential never exits the ideal.
+    Well defined when A is 0-reduced: A has one vertex, so the degree-1
+    cells of A are cycles and the differential never exits the ideal.  An
+    effective A with several vertices is refused at once, and a degree-1
+    cell with a nonzero boundary when its differential is evaluated.
     """
+    if A.is_effective and len(A.basis(0)) != 1:
+        raise ValueError(f"complex is not 0-reduced: it has "
+                         f"{len(A.basis(0))} vertices")
 
     def dim_fn(cell):
         return A.cell_dim(cell) + 1
@@ -244,57 +239,33 @@ def suspended_ideal(A: CCx) -> CCx:
                name=f"{A.name}^" if A.name else "Abar")
 
 
-def suspended_ideal_equivalence(eqA: StrongEq, vertex) -> StrongEq:
-    """Equip the suspended augmentation ideal of A = eqA.big; it is the big
-    end of the returned roof.
+def _suspended_map(m: ChainMap, source: CCx, target: CCx, sign=1) -> ChainMap:
+    """m between suspended ideals: each image one degree up, times sign."""
 
-    The effective end must have a single degree-0 cell and d_1 = 0, as the
-    equipments of simplicial groups built here do.  Route: equip the cone
-    of the augmentation, then collapse the contractible (vertex,
-    augmentation target) pair on both ends.
+    def on_cell(cell):
+        x = m.on_cell(cell)
+        return Chain(x.degree + 1, [(c, sign * v) for c, v in x.items()])
+
+    return ChainMap(source, target, on_cell, shift=m.shift)
+
+
+def suspended_ideal_equivalence(eqA: StrongEq) -> StrongEq:
+    """The roof s(big) <= s(middle) => s(small) of the suspended
+    augmentation ideals of a roof of 0-reduced complexes.
+
+    Each leg (f, g, h) becomes (f, g, -h) one degree up: the differentials
+    change sign, so dh + hd and the side conditions are kept, and the
+    degree-0 cells that the legs leave out are the single vertices.
     """
-    A, E = eqA.big, eqA.small
-    if len(E.basis(0)) != 1 or any(not E.diff_cell(c).is_zero()
-                                   for c in E.basis(1)):
-        raise ValueError("effective end must have one vertex and d_1 = 0")
-    Zc = z_complex()
-    eps = augmentation(A, Zc)
-    eqC = cone_roof(eps, eqA, trivial_equivalence(Zc))
-    cone_big, cone_eff = eqC.big, eqC.small
-    Abar = suspended_ideal(A)
+    mid = suspended_ideal(eqA.middle)
 
-    # big side: Cone(eps) = Abar (+) the acyclic pair (a:vertex, b:*)
-    def f_cell(cell):
-        if cell.tag == "a" and A.cell_dim(cell.cell) >= 1:
-            return Chain.single(cell.cell, A.cell_dim(cell.cell) + 1)
-        return Chain.zero(cone_big.cell_dim(cell))
+    def leg(red: Reduction) -> Reduction:
+        end = suspended_ideal(red.target)
+        return Reduction(mid, end, _suspended_map(red.f, mid, end),
+                         _suspended_map(red.g, end, mid),
+                         _suspended_map(red.h, mid, mid, -1))
 
-    def g_cell(cell):
-        return Chain.single(Tag("a", cell), A.cell_dim(cell) + 1)
-
-    def h_cell(cell):
-        if cell.tag == "b":
-            return Chain.single(Tag("a", vertex), 1)
-        return Chain.zero(cone_big.cell_dim(cell) + 1)
-
-    collapse_big = Reduction(
-        cone_big, Abar,
-        ChainMap(cone_big, Abar, f_cell),
-        ChainMap(Abar, cone_big, g_cell),
-        ChainMap(cone_big, cone_big, h_cell, shift=1), name="ideal-collapse")
-
-    # effective side: the same collapse, by a one-pair vector field
-    vE = E.basis(0)[0]
-
-    def field(cell):
-        if cell.tag == "b":
-            return ("s", Tag("a", vE))
-        if cell.tag == "a" and cell.cell == vE:
-            return ("t", Tag("b", "*"))
-        return None
-
-    collapse_eff = morse_reduction(cone_eff, field, name="ideal-collapse")
-    return conjugate_small(conjugate_big(eqC, collapse_big), collapse_eff)
+    return StrongEq(mid, leg(eqA.left), leg(eqA.right))
 
 
 # ---------------------------------------------------------------------------
@@ -401,32 +372,23 @@ def bar_equivalence(entry_eq: StrongEq, N_eq: StrongEq, ext) -> StrongEq:
     complex.
     """
     stratum_big = _strata(entry_eq.big, N_eq.big)
-    stratum_mid = _strata(entry_eq.middle, N_eq.middle)
-    stratum_small = _strata(entry_eq.small, N_eq.small)
+    eqs = {}
+
+    def stratum_eq(n):
+        eq = eqs.get(n)
+        if eq is None:
+            eq = eqs[n] = tensor_of_equivalences([entry_eq] * n + [N_eq],
+                                                 big=stratum_big(n))
+        return eq
+
     big = _word_complex(stratum_big, name="BarT")
-    mid = _word_complex(stratum_mid, name="BarTmid")
-    small = _word_complex(stratum_small, name="EBar")
+    mid = _word_complex(lambda n: stratum_eq(n).middle, name="BarTmid")
+    small = _word_complex(lambda n: stratum_eq(n).small, name="EBar")
     bar = _word_complex(stratum_big, ext, name="Bar")
-
-    lefts, rights = {}, {}
-
-    def leg(table, pair_left, n):
-        red = table.get(n)
-        if red is None:
-            legs = [entry_eq.left if pair_left else entry_eq.right] * n \
-                + [N_eq.left if pair_left else N_eq.right]
-            red = tensor_of_reductions(legs, source=stratum_mid(n),
-                                       target=(stratum_big if pair_left
-                                               else stratum_small)(n))
-            table[n] = red
-        return red
-
-    left = _stratified_reduction(lambda n: leg(lefts, True, n), mid, big)
-    right = _stratified_reduction(lambda n: leg(rights, False, n), mid, small)
-    eq = StrongEq(mid, left, right)
-
+    left = _stratified_reduction(lambda n: stratum_eq(n).left, mid, big)
+    right = _stratified_reduction(lambda n: stratum_eq(n).right, mid, small)
     delta = ChainMap(big, big, ext, shift=-1)
-    return perturb_strong_equivalence(eq, bar, delta)
+    return perturb_strong_equivalence(StrongEq(mid, left, right), bar, delta)
 
 
 def bar_inverse_reduction(bar: CCx, M: CCx, unit: Simplex) -> Reduction:
@@ -535,7 +497,7 @@ def _division_bars(G_eq: Equipped, total_eq: Equipped):
         return out
 
     ext = external_differential(dga.mul_cells, act)
-    entry_eq = suspended_ideal_equivalence(G_eq.eq, unit)
+    entry_eq = suspended_ideal_equivalence(G_eq.eq)
     bar_eq = bar_equivalence(entry_eq, eq_Q, ext)
     bar0 = _word_complex(_strata(entry_eq.big, T0), ext, name="Bar0")
     return bar_eq, eq_Q.big, bar_inverse_reduction(bar0, CB, unit)

@@ -8,25 +8,25 @@ the coface/codegeneracy vertex maps.  On top of the models live the
 fibration delta: E(pi,n) -> K(pi,n+1), its twisting operator tau and
 pseudo-section psi, the path fibration K(pi,n) -> E(pi,n) -> K(pi,n+1)
 on the standard models with its contraction, and the equipment of
-K(pi,n): K(Z,1) by collapse, K(Z/m,1) by dividing the path fibration of
-K(Z,1) pulled back along the Bockstein K(Z/m,1) -> K(Z,2), a cyclic
-K(pi,n+1) by dividing the path fibration, and, at every n, a pi with two
-or more cyclic factors as the product of the K(Z/m_j,n).  The twist of
-the path fibration, `twisting_operator`, is the only twist: every other
-fibration pulls it back along a map.
+K(pi,n): a cyclic or trivial K(pi,1) by the Morse reduction onto the
+critical cells of a collapse in bar coordinates, a cyclic K(pi,n+1) by
+dividing the path fibration, and, at every n, a pi with two or more
+cyclic factors as the product of the K(Z/m_j,n).  The twist of the path
+fibration, `twisting_operator`, is the only twist: every other fibration
+pulls it back along a map.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .abgroup import AbGroup, Z, cyclic
+from .abgroup import AbGroup
 from .bar import TwistedProductSSet, twisted_division
-from .chains import (Chain, ChainMap, Cochain, circle_complex,
-                     induced_chain_map, normalized_chains, z_complex)
+from .chains import (Chain, ChainMap, Cochain, induced_chain_map,
+                     normalized_chains, z_complex)
 from .ez import product_equivalence
 from .reduction import (Equipped, Reduction, compose_reductions,
-                        conjugate_big, iso_as_reduction, morse_reduction,
+                        iso_as_reduction, morse_reduction,
                         reduction_as_equivalence)
 from .simplicial import ProductSSet, RawSSet, Simplex, SMap, nondeg
 
@@ -255,7 +255,7 @@ def map_to_cochain(f: SMap, space: EMSpace) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# bar coordinates on K(Z,1) and the circle equipment
+# K(pi,1) collapsed onto its critical cells
 # ---------------------------------------------------------------------------
 
 def _bars_of(space: EMSpace, cell: Simplex):
@@ -274,172 +274,99 @@ def _cell_from_bars(space: EMSpace, bars) -> Simplex:
     return nondeg(space.make_raw(m, items), m)
 
 
-def kz1_field(space: EMSpace):
-    """Collapse of K(Z,1) onto the circle, in bar coordinates.
+def kz1_field(K: EMSpace):
+    """Collapse of K(Z,1) onto [] and [1], in bar coordinates: (field, critical).
 
-    Critical cells: [] and [1].  A cell ending in 1 (length >= 2) is a
-    collapse target; its source merges the trailing 1 into the previous
-    entry.  Every other cell is a source, splitting a 1 off its last entry.
+    A cell ending in 1 (length >= 2) is a collapse target; its source merges
+    the trailing 1 into the previous entry.  Every other cell but [] and
+    [1] is a source, splitting a 1 off its last entry.
     """
-    def field(cell):
-        m = cell.dim
-        if m == 0:
+    def cell(bars):
+        return _cell_from_bars(K, [(b,) for b in bars])
+
+    def field(s):
+        bars = [b[0] for b in _bars_of(K, s)]
+        if bars in ([], [1]):
             return None
-        bars = [b[0] for b in _bars_of(space, cell)]
-        if m == 1 and bars == [1]:
-            return None
-        if m >= 2 and bars[-1] == 1:
+        if len(bars) >= 2 and bars[-1] == 1:
             c = bars[:-1]
-            if c[-1] >= 1:
-                src = c[:-1] + [c[-1] + 1]
-            else:
-                src = c
-            return ("t", _cell_from_bars(space, [(b,) for b in src]))
+            return ("t", cell(c[:-1] + [c[-1] + 1] if c[-1] >= 1 else c))
         b = bars[-1]
-        if b >= 2:
-            tgt = bars[:-1] + [b - 1, 1]
-        else:
-            tgt = bars + [1]
-        return ("s", _cell_from_bars(space, [(x,) for x in tgt]))
+        return ("s", cell(bars[:-1] + [b - 1, 1] if b >= 2 else bars + [1]))
 
-    return field
+    def critical(k):
+        return [cell([1] * k)] if k <= 1 else []
 
-
-def kz1_equivalence() -> Equipped:
-    """Equip K(Z,1) with the circle complex via the bar-coordinate collapse."""
-    K = EMSpace(Z, 1)
-    C = normalized_chains(K, name="C(K(Z,1))")
-    red = morse_reduction(C, kz1_field(K), name="kz1")
-    circ = circle_complex()
-
-    def fwd(cell):
-        return Chain.single("e1" if cell.dim == 1 else "e0", cell.dim)
-
-    def bwd(cell):
-        if cell == "e0":
-            return Chain.single(K.zero_simplex(0), 0)
-        return Chain.single(_cell_from_bars(K, [(1,)]), 1)
-
-    iso = iso_as_reduction(red.target, circ,
-                           ChainMap(red.target, circ, fwd),
-                           ChainMap(circ, red.target, bwd))
-    eq = reduction_as_equivalence(compose_reductions(red, iso))
-    return Equipped(K, C, eq)
+    return field, critical
 
 
-# ---------------------------------------------------------------------------
-# potential coordinates (used for the total space over K(Z/m,1))
-# ---------------------------------------------------------------------------
+def kzm1_field(K: EMSpace, m: int):
+    """Collapse of K(Z/m,1) onto one cell per degree: (field, critical).
 
-def potential_to_raw(space: EMSpace, vals):
-    """Raw simplex of K(pi,1) from a vertex potential (a_1,..,a_m), a_0=0."""
-    m = len(vals)
-    full = (space.group.zero(),) + tuple(space.group.reduce(v) for v in vals)
-    items = []
-    for i in range(m + 1):
-        for j in range(i + 1, m + 1):
-            items.append(((i, j), space.group.sub(full[j], full[i])))
-    return space.make_raw(m, items)
+    A cell is a bar word [b_1|...|b_k] with entries in 1..m-1.  Strip the
+    trailing blocks [m-1|1] and call what is left u.  The word is critical
+    when u is [] or [1].  When u ends in b >= 2 it is a source, paired with
+    u[:-1] + [b-1, 1] + blocks.  Otherwise u ends in c, 1 with c <= m-2,
+    and the word is the target of u[:-2] + [c+1] + blocks.  The critical
+    cells are [m-1|1]^j in degree 2j and [1][m-1|1]^j in degree 2j+1.
 
-
-def raw_to_potential(space: EMSpace, raw):
-    m = raw[0]
-    return [space.label(raw, (0, i)) for i in range(1, m + 1)]
-
-
-# ---------------------------------------------------------------------------
-# equipment of the cyclic and general Eilenberg-MacLane spaces
-# ---------------------------------------------------------------------------
-
-def bockstein(Bm: EMSpace) -> SMap:
-    """The Bockstein beta: K(Z/m,1) -> K(Z,2) of 0 -> Z -> Z -> Z/m -> 0.
-
-    beta is the carry cocycle (iota(b_02) - iota(b_01) - iota(b_12)) / m,
-    with iota: Z/m -> {0..m-1}, made a map by `cochain_to_map`.
+    The flow ends.  Let a source be u'[b] + blocks and its target
+    u'[b-1, 1] + blocks.  Every other face of the target either weighs
+    less, where a word weighs b_1 + ... + b_k, or is a target itself, or is
+    u'[:-1] + [m-1, 1] + blocks, which weighs the same and has a shorter u.
+    A merge next to or inside the blocks sums to m and is degenerate.  So
+    (weight, length of u) falls strictly along a gradient path, and no
+    path closes.
     """
-    m = Bm.group.mm[0]
+    def cell(bars):
+        return _cell_from_bars(K, [(b,) for b in bars])
 
-    def carry(cell):
-        b01, b02, b12 = (Bm.label(cell.base, t)[0] % m
-                         for t in ((0, 1), (0, 2), (1, 2)))
-        return ((b02 - b01 - b12) // m,)
+    def field(s):
+        bars = [b[0] for b in _bars_of(K, s)]
+        j = len(bars)
+        while j >= 2 and bars[j - 2:j] == [m - 1, 1]:
+            j -= 2
+        u, blocks = bars[:j], bars[j:]
+        if u in ([], [1]):
+            return None
+        if u[-1] >= 2:
+            return ("s", cell(u[:-1] + [u[-1] - 1, 1] + blocks))
+        return ("t", cell(u[:-2] + [u[-2] + 1] + blocks))
 
-    return cochain_to_map(Cochain(Z, 2, carry, name="beta"), Bm, EMSpace(Z, 2))
+    def critical(k):
+        return [cell([1] * (k % 2) + [m - 1, 1] * (k // 2))]
 
+    return field, critical
+
+
+def em1_equivalence(pi: AbGroup) -> Equipped:
+    """Equip K(pi,1), pi trivial or cyclic, by the Morse reduction onto the
+    critical cells of its collapse (Romero and Sergeraert, "Discrete
+    vector fields and fundamental algebraic topology")."""
+    K = EMSpace(pi, 1)
+    C = normalized_chains(K, name=f"C({K.name})")
+    if pi.ngens == 0:
+        def field(_cell):
+            return None
+
+        def critical(k):
+            return [K.zero_simplex(0)] if k == 0 else []
+    elif pi.mm[0] == 0:
+        field, critical = kz1_field(K)
+    else:
+        field, critical = kzm1_field(K, pi.mm[0])
+    red = morse_reduction(C, field, critical=critical)
+    return Equipped(K, C, reduction_as_equivalence(red))
+
+
+# ---------------------------------------------------------------------------
+# equipment of the general Eilenberg-MacLane spaces
+# ---------------------------------------------------------------------------
 
 def pulled_back_twist(G: EMSpace, f: SMap):
     """`twisting_operator` of G -> E -> f.target, pulled back along f."""
     tau = twisting_operator(G, f.target)
     return lambda s: tau(f(s))
-
-
-def kzm1_equivalence(m: int) -> Equipped:
-    """Equip K(Z/m,1) by dividing K(Z,1) -> K(Z,1) x_tau K(Z/m,1) -> K(Z/m,1).
-
-    The fibration is the path fibration of K(Z,1) pulled back along the
-    Bockstein (`kzm1_fibration`).
-    """
-    return twisted_division(*kzm1_fibration(m))
-
-
-def kzm1_fibration(m: int):
-    """The equipped fibre K(Z,1) and total space K(Z,1) x_tau K(Z/m,1) of
-    the Bockstein pullback of the path fibration of K(Z,1).
-
-    The total space is simplicially isomorphic to K(Z,1) in potential
-    coordinates via c_i = m a_i + iota(b_i) (iota: Z/m -> {0..m-1}), since
-    the twist has potentials (iota(b_{i+1}) - iota(b_1) - iota(b_{i+1} -
-    b_1)) / m.  It is equipped by transporting the circle equipment
-    through the isomorphism.
-    """
-    if m < 2:
-        raise ValueError("the cyclic order must be at least 2")
-    kz1 = kz1_equivalence()
-    G = kz1.obj
-    Bm = EMSpace(cyclic(m), 1)
-
-    def iota(v):
-        return v[0] % m
-
-    TP = TwistedProductSSet(G, Bm, pulled_back_twist(G, bockstein(Bm)))
-    CTP = normalized_chains(TP, name=f"C(K(Z,1)x_tK(Z/{m},1))")
-
-    def phi_base(base):
-        s = TP.simplex(base)
-        a_s, b_s = TP.components(s)
-        pa = raw_to_potential(G, G.uncanon(a_s))
-        pb = raw_to_potential(Bm, Bm.uncanon(b_s))
-        return G.canon(potential_to_raw(
-            G, [(m * a[0] + iota(b),) for a, b in zip(pa, pb)]))
-
-    def phi_inv_base(raw):
-        pc = raw_to_potential(G, raw)
-        a_vals = [(c[0] - c[0] % m) // m for c in pc]
-        b_vals = [c[0] % m for c in pc]
-        return TP.pair(G.canon(potential_to_raw(G, [(a,) for a in a_vals])),
-                       Bm.canon(potential_to_raw(Bm, [(b,) for b in b_vals])))
-
-    fwd = SMap(TP, G, phi_base, name="quot-iso")
-    bwd = SMap(G, TP, phi_inv_base, name="quot-iso-inv")
-    total = Equipped(TP, CTP, conjugate_big(
-        kz1.eq, iso_as_reduction(kz1.chains, CTP,
-                                 induced_chain_map(bwd, kz1.chains, CTP),
-                                 induced_chain_map(fwd, CTP, kz1.chains))))
-    return kz1, total
-
-
-def _em1_equivalence(pi: AbGroup) -> Equipped:
-    """Equip K(pi,1) for a trivial or cyclic pi."""
-    if pi.ngens == 0:
-        K = EMSpace(pi, 1)
-        C = normalized_chains(K, name="C(K(0,1))")
-        Zc = z_complex()
-        red = iso_as_reduction(
-            C, Zc,
-            ChainMap(C, Zc, lambda c: Chain.single("*", 0)),
-            ChainMap(Zc, C, lambda c: Chain.single(K.zero_simplex(0), 0)))
-        return Equipped(K, C, reduction_as_equivalence(red))
-    return kz1_equivalence() if pi.mm[0] == 0 else kzm1_equivalence(pi.mm[0])
 
 
 def split_maps(K: EMSpace, P):
@@ -549,7 +476,7 @@ def em_equivalence(pi: AbGroup, n: int) -> Equipped:
 
     A pi with two or more cyclic factors is equipped, at every n, as the
     product of the K(Z/m_j,n) (`_split_equivalence`).  A cyclic or trivial
-    pi is equipped by `_em1_equivalence` at n = 1 and by dividing the path
+    pi is equipped by `em1_equivalence` at n = 1 and by dividing the path
     fibration (`_em_step`) at n >= 2.
     """
     if n < 1:
@@ -561,7 +488,7 @@ def em_equivalence(pi: AbGroup, n: int) -> Equipped:
     if pi.ngens > 1:
         out = _split_equivalence(pi, n)
     elif n == 1:
-        out = _em1_equivalence(pi)
+        out = em1_equivalence(pi)
     else:
         out = _em_step(em_equivalence(pi, n - 1))
     _em_cache[key] = out

@@ -35,10 +35,7 @@ class StageData:
     k_invariant: SMap             # P_{i-1} -> K(pi_i, i+1)
     # internals used by the evaluators and the verifier
     ell_map: SMap = None          # Y -> E(pi_i, i)
-    lambda_full: Cochain = None   # rho.f restricted to C_i(Y)
-    kappa_full: Cochain = None    # rho.f restricted to C_{i+1}(P_{i-1})
-    E_space: EMSpace = None
-    K_space: EMSpace = None
+    K_space: EMSpace = None       # K(pi_i, i+1)
     fiber: Equipped = None
     eff_P_prev: object = None     # effective complex of P_{i-1}
 
@@ -122,9 +119,8 @@ def _build_stage(tower: PostnikovTower, i: int,
 
     phi_i = SMap(Y.obj, TP, phi_base, name=f"phi_{i}")
     return StageData(i, pi, kappa_ef, lambda_ef, P_i, phi_i, k_invariant,
-                     ell_map=ell_map, lambda_full=lambda_full,
-                     kappa_full=kappa_full, E_space=E, K_space=Kup,
-                     fiber=fiber, eff_P_prev=P_prev.effective)
+                     ell_map=ell_map, K_space=Kup, fiber=fiber,
+                     eff_P_prev=P_prev.effective)
 
 
 _tower_cache = {}
@@ -190,7 +186,7 @@ def evaluate_phi(T: PostnikovTower, i: int, sigma: Simplex) -> Simplex:
     # below under the fibration projection
     prev = T.phi0(sigma) if i == 1 else T.stage(i - 1).phi_i(sigma)
     st = T.stage(i)
-    lhs = delta_map(st.E_space, st.K_space)(st.ell_map(sigma))
+    lhs = delta_map(st.ell_map.target, st.K_space)(st.ell_map(sigma))
     rhs = st.k_invariant(prev)
     if lhs != rhs:
         raise AssertionError(
@@ -227,7 +223,7 @@ def verify_tower(T: PostnikovTower) -> dict:
 
         # delta ell_i = kappa_{i-1} . phi_{i-1} on Y-simplices up to cap
         ok = True
-        delta = delta_map(st.E_space, st.K_space)
+        delta = delta_map(st.ell_map.target, st.K_space)
         phi_prev = T.phi0 if i == 1 else T.stage(i - 1).phi_i
         for d in range(cap + 1):
             for cell in Y.chains.basis(d):

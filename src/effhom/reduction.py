@@ -216,7 +216,7 @@ def perturb_strong_equivalence(eq: StrongEq, big: CCx,
 # discrete vector fields
 # ---------------------------------------------------------------------------
 
-def morse_reduction(C: CCx, field, name=None) -> Reduction:
+def morse_reduction(C: CCx, field, name=None, critical=None) -> Reduction:
     """Reduction of C onto the span of its critical cells.
 
     `field(cell)` classifies each basis element: None for critical,
@@ -226,6 +226,8 @@ def morse_reduction(C: CCx, field, name=None) -> Reduction:
     +-1 and the induced flow terminates.  The flow is walked with an
     explicit stack, so a long gradient path costs no recursion depth, and
     a flow that returns to a cell it is still resolving is refused.
+    `critical(k)` lists the degree-k critical cells; the small complex
+    takes it as its basis when C has none of its own.
     """
     h_cache = {}
 
@@ -283,7 +285,7 @@ def morse_reduction(C: CCx, field, name=None) -> Reduction:
                 out._add(cell, c)
         return out
 
-    basis_fn = None
+    basis_fn = critical
     if C.is_effective:
         def basis_fn(k):
             return [c for c in C.basis(k) if field(c) is None]
@@ -437,7 +439,7 @@ def equipped_homology(E: Equipped, k: int) -> EquippedHomology:
 
 
 # ---------------------------------------------------------------------------
-# relocating the ends of a strong equivalence
+# relocating the big end of a strong equivalence
 # ---------------------------------------------------------------------------
 
 def conjugate_big(eq: StrongEq, red: Reduction) -> StrongEq:
@@ -445,13 +447,6 @@ def conjugate_big(eq: StrongEq, red: Reduction) -> StrongEq:
     if red.source is not eq.big:
         raise ValueError("reduction must start at the big end")
     return StrongEq(eq.middle, compose_reductions(eq.left, red), eq.right)
-
-
-def conjugate_small(eq: StrongEq, red: Reduction) -> StrongEq:
-    """Extend the right leg by a further reduction eq.small => E'."""
-    if red.source is not eq.small:
-        raise ValueError("reduction must start at the small end")
-    return StrongEq(eq.middle, eq.left, compose_reductions(eq.right, red))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import effhom.cli
-from effhom.em import EMSpace, _delta_raw, potential_to_raw, raw_to_potential
+from effhom.em import EMSpace, _delta_raw
 from effhom.reduction import check_reduction, random_chain
 from effhom.simplicial import from_facets
 from effhom.smith import SNF, IntMatrix
@@ -42,29 +42,6 @@ def random_cocycle_raw(space, m, rng, density=0.5):
         return random_cochain_raw(space, m, rng, density)
     lower = EMSpace(space.group, space.n - 1, "E")
     return _delta_raw(lower, random_cochain_raw(lower, m, rng, density))
-
-
-def carry_twist(G, Bm):
-    """Hand-derived twist of the quotient fibration K(Z,1) -> K(Z/m,1).
-
-    In potential coordinates the entries t_i = (iota(b_{i+1}) - iota(b_1)
-    - iota(b_{i+1} - b_1)) / m land in {0,-1}, with iota: Z/m -> {0..m-1}.
-    An oracle for the Bockstein pullback of the path fibration's twist.
-    """
-    m = Bm.group.mm[0]
-
-    def iota(v):
-        return v[0] % m
-
-    def tau(s):
-        raw = Bm.uncanon(s)
-        pots = raw_to_potential(Bm, raw)
-        vals = [((iota(pots[i]) - iota(pots[0])
-                  - iota(Bm.group.sub(pots[i], pots[0]))) // m,)
-                for i in range(1, raw[0])]
-        return G.canon(potential_to_raw(G, vals))
-
-    return tau
 
 
 def zero_face_twist_oracle(CTP, CP):
@@ -169,16 +146,16 @@ def equipment_samples(E, max_deg, cells):
     of an equipment whose chains, big end and middle have no finite basis.
 
     In degree k the chains get the seeded cells `cells(k)`, the big end of
-    the roof the supports of `red.f` on those, and the middle the supports
-    of both g maps on the big and small cells and of both h maps on the
-    middle cells one degree down.
+    the roof the supports of `red.f` on those (the same cells when there is
+    no `red`), and the middle the supports of both g maps on the big and
+    small cells and of both h maps on the middle cells one degree down.
     """
     red, eq = E.red, E.eq
     chains, big, middle = {}, {}, {}
     for k in range(max_deg + 1):
         chains[k] = cells(k)
-        big[k] = sorted({c for x in chains[k] for c, _ in red.f.on_cell(x).items()},
-                        key=repr)
+        big[k] = chains[k] if red is None else sorted(
+            {c for x in chains[k] for c, _ in red.f.on_cell(x).items()}, key=repr)
         zs = [eq.left.g.on_cell(c) for c in big[k]]
         zs += [eq.right.g.on_cell(c) for c in eq.small.basis(k)]
         for leg in (eq.left, eq.right):

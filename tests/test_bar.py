@@ -11,14 +11,15 @@ from effhom.bar import (TwistedProductSSet, _coefficient_twist,
                         twisted_division, twisted_product_equivalence)
 from effhom.chains import (Chain, TensorCell, normalized_chains, tensor,
                            z_complex)
-from effhom.em import (EMSpace, _cell_from_bars, em_equivalence,
-                       kz1_equivalence, kzm1_fibration, path_fibration)
+from effhom.em import (EMSpace, _cell_from_bars, em1_equivalence,
+                       em_equivalence, path_fibration)
 from effhom.ez import ez_reduction, product_equivalence, tensor_of_reductions
 from effhom.reduction import (Equipped, compose_reductions, equipped_homology,
                               identity_reduction, reduction_as_equivalence,
                               trivial_equipment, trivial_equivalence)
 from effhom.simplicial import nondeg, product, sphere
-from helpers import (assert_dd_zero, coefficient_twist_oracle,
+from helpers import (assert_dd_zero, assert_reduction_axioms,
+                     coefficient_twist_oracle, equipment_samples,
                      random_cocycle_raw)
 
 
@@ -90,7 +91,7 @@ def test_em_product_on_kz1_leibniz():
 
 
 def test_suspended_ideal_shape():
-    kz1 = kz1_equivalence()
+    kz1 = em1_equivalence(Z)
     A = kz1.chains
     Abar = suspended_ideal(A)
     c = _cell_from_bars(kz1.obj, [(3,)])
@@ -101,9 +102,8 @@ def test_suspended_ideal_shape():
 
 
 def test_suspended_ideal_equivalence_homology():
-    kz1 = kz1_equivalence()
-    unit = kz1.obj.zero_simplex(0)
-    eq = suspended_ideal_equivalence(kz1.eq, unit)
+    kz1 = em1_equivalence(Z)
+    eq = suspended_ideal_equivalence(kz1.eq)
     Abar, E = eq.big, eq.small
     assert E.basis(0) == () and E.basis(1) == ()
     assert len(E.basis(2)) == 1
@@ -112,6 +112,31 @@ def test_suspended_ideal_equivalence_homology():
     rep = eq.pull(Chain.single(E.basis(2)[0], 2))
     assert Abar.diff(rep).is_zero()
     assert not eq.push(rep).is_zero()
+
+
+@pytest.mark.parametrize("pi", [Z, cyclic(2), cyclic(3)],
+                         ids=["K(Z,2)", "K(Z/2,2)", "K(Z/3,2)"])
+def test_suspended_legs_are_reductions(pi):
+    """The entries of the division that equips K(pi,2): both legs of the
+    suspended roof of K(pi,1) keep the five reduction axioms."""
+    G_eq = em_equivalence(pi, 1)
+    K = G_eq.obj
+    eq = suspended_ideal_equivalence(G_eq.eq)
+    entries = [-2, -1, 1, 2, 3] if pi == Z else range(1, pi.mm[0])
+    rng = random.Random(len(entries))
+
+    def cells(k):
+        """Seeded bar words of length k - 1, suspended to degree k."""
+        words = (_cell_from_bars(K, [(rng.choice(entries),)
+                                     for _ in range(k - 1)])
+                 for _ in range(6 if k >= 2 else 0))
+        return list(dict.fromkeys(words))
+
+    basis = equipment_samples(Equipped(K, eq.big, eq), 6, cells)
+    for red in (eq.left, eq.right):
+        assert_reduction_axioms(red, 6, seed=len(entries), samples=8,
+                                basis=basis)
+    assert_dd_zero(eq.small, 7)
 
 
 def test_bar_inverse_reduction_axioms():
@@ -166,7 +191,7 @@ def unit_twist_total(kz1, B):
     """K(Z,1) x_tau B for the unit twist, equipped by one reduction.
 
     The unit twist leaves d_0 untouched, so the Eilenberg-Zilber reduction
-    of the plain product serves the twisted one, and the circle equipment
+    of the plain product serves the twisted one, and the collapse
     of K(Z,1) follows it slotwise: a roof that starts at the chains.
     """
     TP = TwistedProductSSet(kz1.obj, B, unit_twist(kz1.obj))
@@ -179,7 +204,7 @@ def unit_twist_total(kz1, B):
 
 
 def test_twisted_division_unit_twist_sphere():
-    kz1 = kz1_equivalence()
+    kz1 = em1_equivalence(Z)
     for B, total_groups, expected in (
             (sphere(2), [Z, Z, Z], [Z, ZERO_GROUP, Z]),
             (sphere(1), [Z, AbGroup((0, 0)), Z], [Z, Z, ZERO_GROUP])):
@@ -193,7 +218,7 @@ def test_twisted_division_unit_twist_sphere():
 
 
 def test_twisted_division_refuses_a_reduction_in_front_of_the_roof():
-    kz1 = kz1_equivalence()
+    kz1 = em1_equivalence(Z)
     B = sphere(2)
     CB = normalized_chains(B)
     total = twisted_product_equivalence(kz1, trivial_equipment(B, CB),
@@ -201,7 +226,7 @@ def test_twisted_division_refuses_a_reduction_in_front_of_the_roof():
     assert total.red is not None
     with pytest.raises(ValueError, match="roofs start at their chains"):
         twisted_division(kz1, total)
-    # the circle reduction in front of a trivial roof on the fibre
+    # the collapse of K(Z,1) in front of a trivial roof on the fibre
     red_first = Equipped(kz1.obj, kz1.chains,
                          trivial_equivalence(kz1.effective), kz1.eq.right)
     with pytest.raises(ValueError, match="roofs start at their chains"):
@@ -209,9 +234,9 @@ def test_twisted_division_refuses_a_reduction_in_front_of_the_roof():
 
 
 def test_twisted_division_refuses_a_fibre_or_total_it_cannot_read():
-    kz1 = kz1_equivalence()
+    kz1 = em1_equivalence(Z)
     total = unit_twist_total(kz1, sphere(2))
-    other = kz1_equivalence()
+    other = em1_equivalence(Z)
     assert other.obj is not total.obj.X
     with pytest.raises(ValueError, match="does not equip the fibre"):
         twisted_division(other, total)
@@ -226,7 +251,7 @@ def test_twisted_division_refuses_a_fibre_or_total_it_cannot_read():
 
 
 def test_twisted_product_equivalence_unit_twist():
-    kz1 = kz1_equivalence()
+    kz1 = em1_equivalence(Z)
     B = sphere(2)
     E = twisted_product_equivalence(kz1, trivial_equipment(
         B, normalized_chains(B)), unit_twist(kz1.obj))
@@ -265,7 +290,7 @@ def path_division(pi):
 
 @pytest.mark.parametrize("division", [
     lambda: path_division(Z), lambda: path_division(cyclic(2)),
-    lambda: kzm1_fibration(3)], ids=["K(Z,2)", "K(Z/2,2)", "K(Z/3,1)"])
+    lambda: path_division(cyclic(3))], ids=["K(Z,2)", "K(Z/2,2)", "K(Z/3,2)"])
 def test_coefficient_twist_is_the_difference_of_bar_differentials(division):
     """The twist of a bar construction, read off the coefficient slot,
     equals the difference of the bar differentials over Q and over the

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -5,15 +6,14 @@ import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
 from effhom.chains import Chain, Cochain, normalized_chains
-from effhom.bar import TwistedProductSSet, check_twist_axioms
-from effhom.em import (EMSpace, _cell_from_bars, bockstein, cochain_to_map,
-                       cone_raw, delta_map, em_equivalence, ev,
-                       kz1_equivalence, map_to_cochain, path_fibration,
-                       potential_to_raw, pseudo_section_psi, pulled_back_twist,
-                       raw_to_potential, split_maps, twisting_tau)
-from effhom.reduction import equipped_homology
+from effhom.bar import check_twist_axioms
+from effhom.em import (EMSpace, _cell_from_bars, cochain_to_map, cone_raw,
+                       delta_map, em1_equivalence, em_equivalence, ev,
+                       kzm1_field, map_to_cochain, path_fibration,
+                       pseudo_section_psi, split_maps, twisting_tau)
+from effhom.reduction import equipped_homology, morse_reduction
 from effhom.simplicial import nondeg, product, standard_simplex
-from helpers import (assert_dd_zero, assert_reduction_axioms, carry_twist,
+from helpers import (assert_dd_zero, assert_reduction_axioms,
                      equipment_samples, random_cochain_raw,
                      random_cocycle_raw)
 
@@ -244,17 +244,20 @@ def test_path_fibration_contraction(group, n):
 
 
 def test_kz1_equivalence_contract():
-    E = kz1_equivalence()
+    E = em1_equivalence(Z)
     K, C = E.obj, E.chains
     red = E.eq.right
-    # f1([b]) = b e1, f_m = 0 for m >= 2
+    vertex, one = _cell_from_bars(K, []), _cell_from_bars(K, [(1,)])
+    assert E.effective.basis(0) == (vertex,) and E.effective.basis(1) == (one,)
+    assert E.effective.basis(2) == ()
+    # f1([b]) = b [1], f_m = 0 for m >= 2
     for b in (1, 3, -2):
         cell = _cell_from_bars(K, [(b,)])
-        assert red.f.on_cell(cell) == Chain.single("e1", 1, b)
+        assert red.f.on_cell(cell) == Chain.single(one, 1, b)
     two = _cell_from_bars(K, [(2,), (3,)])
     assert red.f.on_cell(two).is_zero()
-    # g(e1) = [1]
-    assert red.g.on_cell("e1") == Chain.single(_cell_from_bars(K, [(1,)]), 1)
+    # g is the inclusion of the critical cells
+    assert red.g.on_cell(one) == Chain.single(one, 1)
     # h1([3]) = -([1|1] + [2|1]) and d of that is [3] - 3[1]
     h3 = red.h.on_cell(_cell_from_bars(K, [(3,)]))
     expect = -(Chain.single(_cell_from_bars(K, [(1,), (1,)]), 2)
@@ -262,7 +265,7 @@ def test_kz1_equivalence_contract():
     assert h3 == expect
     d = C.diff(expect)
     assert d == Chain.single(_cell_from_bars(K, [(3,)]), 1) - \
-        3 * Chain.single(_cell_from_bars(K, [(1,)]), 1)
+        3 * Chain.single(one, 1)
     # five axioms, sampled on random bar-coordinate chains (the source has
     # no finite basis, so build cells by hand)
     rng = random.Random(41)
@@ -277,19 +280,11 @@ def test_kz1_equivalence_contract():
             lhs = C.diff(red.h(x)) + red.h(C.diff(x))
             rhs = x - red.g(red.f(x))
             assert (lhs - rhs).is_zero()
-    for y, k in ((Chain.single("e0", 0, 2), 0), (Chain.single("e1", 1, 4), 1)):
+    for y in (Chain.single(vertex, 0, 2), Chain.single(one, 1, 4)):
         assert (red.f(red.g(y)) - y).is_zero()
         assert red.h(red.g(y)).is_zero()
     groups = [equipped_homology(E, k).group for k in range(4)]
     assert groups == [Z, Z, ZERO_GROUP, ZERO_GROUP]
-
-
-def test_potential_coordinates_roundtrip():
-    K = EMSpace(cyclic(5), 1)
-    vals = [(1,), (4,), (2,)]
-    raw = potential_to_raw(K, vals)
-    assert K.is_cocycle(raw)
-    assert raw_to_potential(K, raw) == [K.group.reduce(v) for v in vals]
 
 
 # ---------------------------------------------------------------------------
@@ -314,66 +309,47 @@ def primary_invariants(group):
     return (group.rank, tuple(sorted(prim)))
 
 
-def cyclic_simplices(Bm, rng, count, max_dim=5):
-    """Seeded simplices of K(Z/m,1) from random potentials, with a random
-    degeneracy applied to every other one."""
-    m = Bm.group.mm[0]
-    out = []
-    for j in range(count):
-        k = rng.randint(0, max_dim)
-        s = Bm.canon(potential_to_raw(
-            Bm, [(rng.randint(0, m - 1),) for _ in range(k)]))
-        if j % 2:
-            s = Bm.degeneracy(rng.randint(0, s.dim), s)
-        out.append(s)
-    return out
+def bar_words(K, m, k):
+    """Every nondegenerate k-simplex of K(Z/m,1), as bar words."""
+    return [_cell_from_bars(K, [(b,) for b in bars])
+            for bars in itertools.product(range(1, m), repeat=k)]
 
 
-@pytest.mark.parametrize("m", [2, 3, 12])
-def test_bockstein_twist_is_the_carry_twist(m):
-    G, Bm = EMSpace(Z, 1), EMSpace(cyclic(m), 1)
-    tau = pulled_back_twist(G, bockstein(Bm))
-    oracle = carry_twist(G, Bm)
-    cells = [s for s in cyclic_simplices(Bm, random.Random(m), 120)
-             if s.dim >= 1]
-    assert {s.is_degenerate() for s in cells} == {False, True}
-    for s in cells:
-        assert tau(s) == oracle(s), f"twists differ on {s!r}"
-
-
-def test_kzm1_twist_axioms():
-    G = EMSpace(Z, 1)
-    for m in (2, 3, 5):
-        Bm = EMSpace(cyclic(m), 1)
-        cells = cyclic_simplices(Bm, random.Random(m), 20, max_dim=3)
-        TP = TwistedProductSSet(G, Bm, pulled_back_twist(G, bockstein(Bm)))
-        check_twist_axioms(TP, cells)
-
-
-@pytest.mark.parametrize("m", [2, 3, 12])
-def test_bockstein_is_a_simplicial_map_into_cocycles(m):
-    Bm = EMSpace(cyclic(m), 1)
-    beta = bockstein(Bm)
-    K2 = beta.target
-    assert K2.group == Z and K2.n == 2
-    for s in cyclic_simplices(Bm, random.Random(100 + m), 60):
-        img = beta(s)
-        assert img.dim == s.dim and K2.is_cocycle(K2.uncanon(img))
-        for i in range(s.dim + 1):
-            if s.dim >= 1:
-                assert beta(Bm.face(i, s)) == K2.face(i, img)
-            assert beta(Bm.degeneracy(i, s)) == K2.degeneracy(i, img)
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_kzm1_field_is_an_admissible_involution(m):
+    """Over every cell of degree 1-5: the field pairs sources with targets
+    both ways, its critical cells are exactly critical(k), and the Morse
+    reduction evaluates h everywhere, refusing no pairing and no cycle."""
+    K = EMSpace(cyclic(m), 1)
+    field, critical = kzm1_field(K, m)
+    C = normalized_chains(K)
+    red = morse_reduction(C, field, critical=critical)
+    for k in range(1, 6):
+        crit = []
+        for cell in bar_words(K, m, k):
+            cls = field(cell)
+            if cls is None:
+                crit.append(cell)
+                continue
+            kind, partner = cls
+            assert partner.dim == k + (1 if kind == "s" else -1)
+            assert field(partner) == ("t" if kind == "s" else "s", cell)
+            if kind == "s":
+                assert abs(C.diff_cell(partner).coeff(cell)) == 1
+            red.h.on_cell(cell)
+        assert crit == list(critical(k))
+    assert critical(0) == [K.zero_simplex(0)]
+    assert_reduction_axioms(red, 5, seed=m, samples=8,
+                            basis=lambda D, k: bar_words(K, m, k)
+                            if D is C else D.basis(k))
 
 
 def test_cyclic_em1_homology():
-    from effhom.em import kzm1_equivalence
-    E2 = kzm1_equivalence(2)
-    groups = [equipped_homology(E2, k).group for k in range(5)]
-    assert groups == [Z, cyclic(2), ZERO_GROUP, cyclic(2), ZERO_GROUP]
-    for m in (3, 4):
-        Em = kzm1_equivalence(m)
-        assert equipped_homology(Em, 1).group == cyclic(m)
-        assert equipped_homology(Em, 2).group == ZERO_GROUP
+    for m in (2, 3, 4, 12):
+        E = em1_equivalence(cyclic(m))
+        groups = [equipped_homology(E, k).group for k in range(7)]
+        assert groups == [Z] + [cyclic(m), ZERO_GROUP] * 3
+        assert [len(E.effective.basis(k)) for k in range(7)] == [1] * 7
 
 
 def test_mixed_group_em1():

@@ -273,10 +273,10 @@ def test_wedge_towers_with_split_fibres(own_caches, n):
 # digests of `helpers.tower_fingerprint`; any change to them is a change in
 # the computed towers, not only in their speed
 TOWER_DIGESTS = {
-    "S2": "649ffcf035473bc8c74dc4f0003ceea13f7672e7bfb024a146b6a7ecb8bc80f4",
-    "wedge3": "61da9a3268ffd5dcc024ec0b62f16140e00b49d57d7628c725aea4111210dfe8",
+    "S2": "64fa18493ff853b65d0a13dcc286b8f9633928b15c5945f581de17d8bf3d68db",
+    "wedge3": "2d3b3039190c7e20df4596af059fc91e1cd05bb4b77c40dc2024fbc2cafeae73",
     # stage 5 reads P_4, whose fibre K(Z/2,4) is an EM step over Z/2
-    "S3": "0d4d776b06443eee170f611f5b249d1640ec1307188c74c85a2081ac31cf04cf",
+    "S3": "e92d4c155493321c35cfa41e4bc15f5726fcf3e3181cdd70063e9f3f1858dcc3",
 }
 
 

@@ -359,6 +359,11 @@ def test_equipped_refuses_a_reduction_off_the_roof():
 
 def test_suspended_ideal_equivalence_refuses_several_vertices():
     from effhom.bar import suspended_ideal_equivalence
-    C = normalized_chains(sphere(1))      # 3 vertices, 3 edges
-    with pytest.raises(ValueError, match="one vertex and d_1 = 0"):
-        suspended_ideal_equivalence(trivial_equivalence(C), C.basis(0)[0])
+    C = normalized_chains(standard_simplex(1))      # 2 vertices, 1 edge
+    with pytest.raises(ValueError, match="not 0-reduced: it has 2 vertices"):
+        suspended_ideal_equivalence(trivial_equivalence(C))
+    # without a basis, the edge is refused when its differential is read
+    A = CCx(C.cell_dim, C.diff_cell)
+    eq = suspended_ideal_equivalence(trivial_equivalence(A))
+    with pytest.raises(ValueError, match="not 0-reduced: d does not vanish"):
+        eq.middle.diff_cell(C.basis(1)[0])

@@ -1,5 +1,6 @@
-"""Every name a module of effhom or of its tests imports is used there, and
-every parameter of an effhom function is read by its body."""
+"""Every name a module of effhom or of its tests imports is used there,
+every parameter of an effhom function is read by its body, and every
+top-level function or class of effhom is referred to somewhere."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ SRC = Path(effhom.cli.__file__).parent
 TESTS = Path(__file__).parent
 SOURCES = sorted(SRC.glob("*.py"))
 MODULES = SOURCES + sorted(TESTS.glob("*.py"))
+PERFBENCH = sorted((TESTS.parent / "perfbench").glob("*.py"))
 
 
 def _annotations(tree):
@@ -81,6 +83,35 @@ def unused_parameters(source: str):
     return sorted(out)
 
 
+def unreferenced_definitions(defining, referring):
+    """(module, line, name) for every top-level function or class of the
+    `defining` sources that no Name, Attribute or import of the `referring`
+    sources names, outside the definition's own body.
+
+    Both arguments map a module name to its source text.
+    """
+    refs = {}                  # name -> {(module, top-level statement)}
+    for module, source in referring.items():
+        for i, top in enumerate(ast.parse(source).body):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.split(".")[-1]
+                else:
+                    continue
+                refs.setdefault(name, set()).add((module, i))
+    out = []
+    for module, source in defining.items():
+        for i, top in enumerate(ast.parse(source).body):
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+                    and not refs.get(top.name, set()) - {(module, i)}:
+                out.append((module, top.lineno, top.name))
+    return sorted(out)
+
+
 def test_modules_are_found():
     assert {p.stem for p in MODULES} >= {"cli", "em", "ez", "reduction",
                                          "helpers", "test_em"}
@@ -95,6 +126,27 @@ def test_checker_flags_an_unused_import():
     src = ("from os import path, sep\nimport sys\nimport json\n"
            "def f(x: 'json.JSONDecoder') -> None:\n    print(sep, 'sys')\n")
     assert unused_imports(src) == [(1, "path"), (2, "sys")]
+
+
+def test_no_unreferenced_functions():
+    assert PERFBENCH, "perfbench not found next to the tests"
+    referring = {f"{p.parent.name}.{p.stem}": p.read_text()
+                 for p in MODULES + PERFBENCH}
+    defining = {f"{SRC.name}.{p.stem}": referring[f"{SRC.name}.{p.stem}"]
+                for p in SOURCES}
+    assert unreferenced_definitions(defining, referring) == []
+
+
+def test_checker_flags_an_unreferenced_function():
+    src = ("def used():\n    return 1\n"
+           "def recursive(n):\n    return recursive(n - 1)\n"
+           "class Lonely:\n    pass\n"
+           "def via_attribute():\n    pass\n"
+           "def imported():\n    pass\n")
+    other = ("import m\nfrom m import imported\n"
+             "print(used(), m.via_attribute)\n")
+    assert unreferenced_definitions({"m": src}, {"m": src, "n": other}) == \
+        [("m", 3, "recursive"), ("m", 5, "Lonely")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
