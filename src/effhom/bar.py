@@ -19,14 +19,15 @@ twist of the total tensor complex applied to the coefficient slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 
 from .chains import (CCx, Chain, ChainMap, TensorCell, normalized_chains,
                      tensor)
-from .ez import (_shuffles, ez_reduction, product_equivalence,
+from .ez import (ez_reduction, product_equivalence, shuffle_terms,
                  tensor_of_equivalences)
 from .reduction import (Equipped, Reduction, StrongEq, basic_perturbation,
-                        conjugate_big, perturb_strong_equivalence)
+                        conjugate_big, perturb_strong_equivalence,
+                        perturbed_complex)
 from .simplicial import ProductSSet, Simplex, product
 
 
@@ -148,61 +149,28 @@ def pullback_fibration(P_eq: Equipped, f, fiber_eq: Equipped) -> Equipped:
     the literal pullback {(p, e): f(p) = delta(e)} is isomorphic to it via
     (g, p) -> (psi(f(p)) + g, p).
     """
-    from .em import pulled_back_twist
-    return twisted_product_equivalence(fiber_eq, P_eq,
-                                       pulled_back_twist(fiber_eq.obj, f))
+    from .em import twisting_operator
+    tau = twisting_operator(fiber_eq.obj, f.target)
+    return twisted_product_equivalence(fiber_eq, P_eq, lambda s: tau(f(s)))
 
 
 # ---------------------------------------------------------------------------
 # the Eilenberg-MacLane product (C(G) as a dg-algebra)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DGA:
-    """A chain complex with an associative product and a unit cell."""
-    C: CCx
-    unit: Simplex
-    mul_cells: object     # (cell, cell) -> Chain
-
-    def mul(self, x: Chain, y: Chain) -> Chain:
-        out = Chain(x.degree + y.degree)
-        for a, ca in x.items():
-            for b, cb in y.items():
-                for cell, c in self.mul_cells(a, b).items():
-                    out._add(cell, ca * cb * c)
-        return out
-
-
-def em_product(G, C: CCx) -> DGA:
-    """The shuffle product on C(G) for an abelian simplicial group G.
+def em_product(G):
+    """The shuffle product on C(G) for an abelian simplicial group G, as
+    (cell, cell) -> Chain, memoized.
 
     a.b is the sum over (p,q)-shuffles of the signed pointwise group sum of
-    the two degenerated factors; degenerate results drop out.
+    the two degenerated factors; degenerate results drop out.  The unit is
+    the vertex G.zero_simplex(0).
     """
-    unit = G.canon(G.raw_unit(0))
-    cache = {}
 
-    def mul_cells(a: Simplex, b: Simplex) -> Chain:
-        hit = cache.get((a, b))
-        if hit is not None:
-            return hit
-        p, q = a.dim, b.dim
-        ra, rb = G.uncanon(a), G.uncanon(b)
-        out = Chain(p + q)
-        for alpha, beta, sign in _shuffles(p, q):
-            sa = ra
-            for i in alpha:
-                sa = G.raw_degeneracy(i, sa)
-            sb = rb
-            for i in beta:
-                sb = G.raw_degeneracy(i, sb)
-            cell = G.canon(G.raw_add(sa, sb))
-            if not cell.is_degenerate():
-                out._add(cell, sign)
-        cache[(a, b)] = out
-        return out
+    def pair(a: Simplex, b: Simplex) -> Simplex:
+        return G.canon(G.raw_add(G.uncanon(a), G.uncanon(b)))
 
-    return DGA(C, unit, mul_cells)
+    return cache(lambda a, b: shuffle_terms(a, b, pair))
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +242,19 @@ def suspended_ideal_equivalence(eqA: StrongEq) -> StrongEq:
 
 def _strata(abar: CCx, N: CCx):
     """n -> the tensor complex abar^(x)n (x) N, cached."""
-    cache = {}
-
-    def stratum(n):
-        t = cache.get(n)
-        if t is None:
-            t = tensor([abar] * n + [N])
-            cache[n] = t
-        return t
-
-    return stratum
+    return cache(lambda n: tensor([abar] * n + [N]))
 
 
-def external_differential(mul_cells, act):
+def external_differential(mul_cells):
     """The part of the bar differential that shortens the word.
 
     On a1 (x) ... (x) an (x) y it merges consecutive entries through the
-    algebra product and lets the last entry act on y.  A merge of two
-    (suspended) entries carries the sign of the shifted prefix including
-    the left operand; the action on the (unsuspended) coefficient slot
-    additionally picks up the parity of the acting entry, which compensates
-    the suspension sign of the entry differentials.
+    algebra product and lets the last entry act on the algebra slot of the
+    coefficient y = (a, x) in A (x) M.  A merge of two (suspended) entries
+    carries the sign of the shifted prefix including the left operand; the
+    action on the (unsuspended) coefficient slot additionally picks up the
+    parity of the acting entry, which compensates the suspension sign of
+    the entry differentials.
     """
 
     def ext_cell(cell: TensorCell) -> Chain:
@@ -312,31 +272,28 @@ def external_differential(mul_cells, act):
         if n >= 1:
             # inclusive prefix plus the degree of the acting entry
             sign = 1 if sum(dims[:n - 1]) % 2 else -1
-            ya = act(parts[n - 1], parts[n])
-            for c, v in ya.items():
-                out._add(TensorCell(parts[:n - 1] + (c,),
-                                    dims[:n - 1] + (ya.degree,)), sign * v)
+            (ac, xc), xdim = parts[n].parts, parts[n].dims[1]
+            degree = parts[n - 1].dim + parts[n].degree
+            for c, v in mul_cells(parts[n - 1], ac).items():
+                y = TensorCell((c, xc), (c.dim, xdim))
+                out._add(TensorCell(parts[:n - 1] + (y,),
+                                    dims[:n - 1] + (degree,)), sign * v)
         return out
 
     return ext_cell
 
 
-def _word_complex(stratum, ext=None, name=None) -> CCx:
+def _word_complex(stratum) -> CCx:
     """The sum over n of the strata abar^(x)n (x) N, on tensor words.
 
-    Cells are words (a1, ..., an, y).  The differential is the tensor
-    differential of the word's stratum, plus `ext` on words with n >= 1
-    when it is given (the external part of the bar differential).  The
-    complex has a basis exactly when its strata do; enumeration relies on
-    the entries having degree >= 2, which the suspended ideal guarantees.
+    Cells are words (a1, ..., an, y), and the differential is the tensor
+    differential of the word's stratum.  The complex has a basis exactly
+    when its strata do; enumeration relies on the entries having degree
+    >= 2, which the suspended ideal guarantees.
     """
 
     def diff_cell(cell):
-        n = len(cell.parts) - 1
-        d = stratum(n).diff_cell(cell)
-        if ext is not None and n >= 1:
-            d = d + ext(cell)
-        return d
+        return stratum(len(cell.parts) - 1).diff_cell(cell)
 
     basis_fn = None
     if stratum(1).is_effective:
@@ -346,7 +303,14 @@ def _word_complex(stratum, ext=None, name=None) -> CCx:
                 out.extend(stratum(n).basis(k))
             return out
 
-    return CCx(lambda c: c.degree, diff_cell, basis_fn, name=name)
+    return CCx(lambda c: c.degree, diff_cell, basis_fn)
+
+
+def _bar(words: CCx, mul_cells) -> CCx:
+    """The bar construction: a word complex perturbed by the external
+    differential of the product `mul_cells`, kept as `delta`."""
+    return perturbed_complex(words, ChainMap(
+        words, words, external_differential(mul_cells), shift=-1))
 
 
 def _stratified_reduction(get_red, src: CCx, tgt: CCx) -> Reduction:
@@ -362,33 +326,30 @@ def _stratified_reduction(get_red, src: CCx, tgt: CCx) -> Reduction:
                      part("h", 1, src, src))
 
 
-def bar_equivalence(entry_eq: StrongEq, N_eq: StrongEq, ext) -> StrongEq:
+def bar_equivalence(entry_eq: StrongEq, N_eq: StrongEq,
+                    mul_cells) -> StrongEq:
     """Equip the bar complex of entry_eq.big over N_eq.big.
 
-    `ext` is the external differential of the bar complex.  Tensor the
-    entry and coefficient equivalences stratum by stratum, then carry
-    `ext` across as a perturbation; it lowers the word length, so the
-    series stop within degree + 1 steps.  The result starts at the bar
-    complex.
+    Tensor the entry and coefficient equivalences stratum by stratum,
+    then carry the external differential of the product `mul_cells`
+    across as a perturbation; it lowers the word length, so the series
+    stop within degree + 1 steps.  The result starts at the bar complex.
     """
     stratum_big = _strata(entry_eq.big, N_eq.big)
-    eqs = {}
 
+    @cache
     def stratum_eq(n):
-        eq = eqs.get(n)
-        if eq is None:
-            eq = eqs[n] = tensor_of_equivalences([entry_eq] * n + [N_eq],
-                                                 big=stratum_big(n))
-        return eq
+        return tensor_of_equivalences([entry_eq] * n + [N_eq],
+                                      big=stratum_big(n))
 
-    big = _word_complex(stratum_big, name="BarT")
-    mid = _word_complex(lambda n: stratum_eq(n).middle, name="BarTmid")
-    small = _word_complex(lambda n: stratum_eq(n).small, name="EBar")
-    bar = _word_complex(stratum_big, ext, name="Bar")
+    big = _word_complex(stratum_big)
+    mid = _word_complex(lambda n: stratum_eq(n).middle)
+    small = _word_complex(lambda n: stratum_eq(n).small)
     left = _stratified_reduction(lambda n: stratum_eq(n).left, mid, big)
     right = _stratified_reduction(lambda n: stratum_eq(n).right, mid, small)
-    delta = ChainMap(big, big, ext, shift=-1)
-    return perturb_strong_equivalence(StrongEq(mid, left, right), bar, delta)
+    bar = _bar(big, mul_cells)
+    return perturb_strong_equivalence(StrongEq(mid, left, right), bar,
+                                      bar.delta)
 
 
 def bar_inverse_reduction(bar: CCx, M: CCx, unit: Simplex) -> Reduction:
@@ -486,21 +447,12 @@ def _division_bars(G_eq: Equipped, total_eq: Equipped):
                               TP, total_eq.chains)
     eq_Q = conjugate_big(total_eq.eq, red2)
 
-    dga = em_product(G, A)
-    unit = dga.unit
-
-    def act(a, ycell):
-        ac, xc = ycell.parts
-        out = Chain(a.dim + ycell.degree)
-        for c, v in dga.mul_cells(a, ac).items():
-            out._add(TensorCell((c, xc), (c.dim, ycell.dims[1])), v)
-        return out
-
-    ext = external_differential(dga.mul_cells, act)
+    mul_cells = em_product(G)
     entry_eq = suspended_ideal_equivalence(G_eq.eq)
-    bar_eq = bar_equivalence(entry_eq, eq_Q, ext)
-    bar0 = _word_complex(_strata(entry_eq.big, T0), ext, name="Bar0")
-    return bar_eq, eq_Q.big, bar_inverse_reduction(bar0, CB, unit)
+    bar_eq = bar_equivalence(entry_eq, eq_Q, mul_cells)
+    bar0 = _bar(_word_complex(_strata(entry_eq.big, T0)), mul_cells)
+    return bar_eq, eq_Q.big, bar_inverse_reduction(bar0, CB,
+                                                   G.zero_simplex(0))
 
 
 def twisted_division(G_eq: Equipped, total_eq: Equipped) -> Equipped:

@@ -54,13 +54,6 @@ class Chain:
     def coeff(self, cell):
         return self.terms.get(cell, 0)
 
-    def map_cells(self, fn, degree=None):
-        """Relabel basis elements through an injective fn."""
-        out = Chain(self.degree if degree is None else degree)
-        for cell, c in self.terms.items():
-            out._add(fn(cell), c)
-        return out
-
     def _add(self, cell, c):
         if not c:
             return
@@ -158,12 +151,11 @@ class CCx:
 class ChainMap:
     """Degree-homogeneous additive map given on basis elements (memoized)."""
 
-    def __init__(self, source, target, on_cell, shift=0, name=None):
+    def __init__(self, source, target, on_cell, shift=0):
         self.source = source
         self.target = target
         self._on_cell = on_cell
         self.shift = shift
-        self.name = name
         self._cache = {}
 
     def on_cell(self, cell) -> Chain:
@@ -184,12 +176,11 @@ class ChainMap:
 def zero_map(source, target, shift=0):
     return ChainMap(source, target,
                     lambda cell: Chain.zero(source.cell_dim(cell) + shift),
-                    shift=shift, name="0")
+                    shift=shift)
 
 
 def identity_chain_map(C):
-    return ChainMap(C, C, lambda cell: Chain.single(cell, C.cell_dim(cell)),
-                    name="id")
+    return ChainMap(C, C, lambda cell: Chain.single(cell, C.cell_dim(cell)))
 
 
 def compose_chain_maps(*maps):
@@ -247,7 +238,7 @@ def induced_chain_map(f, CX: CCx, CY: CCx) -> ChainMap:
             return Chain.zero(s.dim)
         return Chain.single(img, s.dim)
 
-    return ChainMap(CX, CY, on_cell, name=getattr(f, "name", None))
+    return ChainMap(CX, CY, on_cell)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +267,7 @@ class TensorCell:
 class TensorCCx(CCx):
     """Tensor product of chain complexes with the signed Leibniz rule."""
 
-    def __init__(self, factors, name=None):
+    def __init__(self, factors):
         self.factors = list(factors)
 
         def diff_cell(cell):
@@ -298,7 +289,7 @@ class TensorCCx(CCx):
                         for parts, dims in _tensor_basis(self.factors, k)]
 
         super().__init__(lambda c: c.degree, diff_cell, basis_fn,
-                         name=name or "(" + "x".join(str(C.name) for C in self.factors) + ")")
+                         name="(" + "x".join(str(C.name) for C in self.factors) + ")")
 
 
 def _tensor_basis(factors, k):
@@ -313,8 +304,8 @@ def _tensor_basis(factors, k):
                 yield (b,) + parts, (d,) + dims
 
 
-def tensor(factors, name=None) -> TensorCCx:
-    return TensorCCx(factors, name=name)
+def tensor(factors) -> TensorCCx:
+    return TensorCCx(factors)
 
 
 def tensor_of_chains(chains) -> Chain:
@@ -353,13 +344,23 @@ class Tag:
         return f"{self.tag}:{self.cell!r}"
 
 
+def cone_chain(degree, a=None, b=None) -> Chain:
+    """The cone chain (a, b); a lies in the shifted source summand."""
+    out = Chain(degree)
+    for tag, part in (("a", a), ("b", b)):
+        if part is not None:
+            for cell, c in part.items():
+                out._add(Tag(tag, cell), c)
+    return out
+
+
 class ConeCCx(CCx):
     """Algebraic mapping cone of a chain map phi: C -> Ct.
 
     Degree-k part is C_{k-1} + Ct_k; d(a, b) = (-da, phi(a) + d b).
     """
 
-    def __init__(self, phi: ChainMap, name=None):
+    def __init__(self, phi: ChainMap):
         self.phi = phi
         C, Ct = phi.source, phi.target
 
@@ -370,13 +371,11 @@ class ConeCCx(CCx):
 
         def diff_cell(cell):
             if cell.tag == "a":
-                da = C.diff_cell(cell.cell)
-                part1 = (-da).map_cells(lambda c: Tag("a", c), degree=da.degree + 1)
-                pa = phi.on_cell(cell.cell)
-                part2 = pa.map_cells(lambda c: Tag("b", c))
-                return part1 + part2
+                return cone_chain(C.cell_dim(cell.cell),
+                                  a=-C.diff_cell(cell.cell),
+                                  b=phi.on_cell(cell.cell))
             db = Ct.diff_cell(cell.cell)
-            return db.map_cells(lambda c: Tag("b", c))
+            return cone_chain(db.degree, b=db)
 
         basis_fn = None
         if C.is_effective and Ct.is_effective:
@@ -384,24 +383,20 @@ class ConeCCx(CCx):
                 return ([Tag("a", c) for c in C.basis(k - 1)]
                         + [Tag("b", c) for c in Ct.basis(k)])
 
-        super().__init__(dim_fn, diff_cell, basis_fn, name=name or "Cone")
-
-
-def mapping_cone(phi: ChainMap) -> ConeCCx:
-    return ConeCCx(phi)
+        super().__init__(dim_fn, diff_cell, basis_fn, name="Cone")
 
 
 # ---------------------------------------------------------------------------
 # ready-made small complexes
 # ---------------------------------------------------------------------------
 
-def z_complex(cell="*", name="Z") -> CCx:
-    """The complex with a single basis element in degree 0."""
+def z_complex() -> CCx:
+    """The complex with a single basis element "*" in degree 0."""
     return CCx(lambda c: 0, lambda c: Chain.zero(-1),
-               lambda k: [cell] if k == 0 else [], name=name)
+               lambda k: ["*"] if k == 0 else [], name="Z")
 
 
-def circle_complex(name="circle") -> CCx:
+def circle_complex() -> CCx:
     """Z in degrees 0 and 1, zero differential."""
 
     def diff_cell(cell):
@@ -409,7 +404,7 @@ def circle_complex(name="circle") -> CCx:
 
     return CCx(lambda c: 1 if c == "e1" else 0, diff_cell,
                lambda k: ["e0"] if k == 0 else (["e1"] if k == 1 else []),
-               name=name)
+               name="circle")
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +414,10 @@ def circle_complex(name="circle") -> CCx:
 class Cochain:
     """Black-box functional on degree-`degree` chains with AbGroup values."""
 
-    def __init__(self, group: AbGroup, degree: int, eval_cell, name=None):
+    def __init__(self, group: AbGroup, degree: int, eval_cell):
         self.group = group
         self.degree = degree
         self._eval_cell = eval_cell
-        self.name = name
         self._cache = {}
 
     def eval_cell(self, cell):
@@ -444,9 +438,7 @@ class Cochain:
 
 def coboundary(c: Cochain, C: CCx) -> Cochain:
     """(delta c)(x) = c(dx)."""
-    return Cochain(c.group, c.degree + 1,
-                   lambda cell: c(C.diff_cell(cell)),
-                   name=f"d({c.name})" if c.name else None)
+    return Cochain(c.group, c.degree + 1, lambda cell: c(C.diff_cell(cell)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +461,6 @@ class ChainHomologySolver:
     """Chain-level wrapper around the coordinate-level Smith solver."""
 
     def __init__(self, C: CCx, k: int):
-        self.C = C
         self.k = k
         self._basis = C.basis(k)
         self._basis_up = C.basis(k + 1)

@@ -39,7 +39,7 @@ def parse_document(doc) -> FinSSet:
             raise InputError("'facets' must be a nonempty list")
         for pos, f in enumerate(facets):
             if (not isinstance(f, list) or not f
-                    or not all(isinstance(v, int) for v in f)):
+                    or not all(type(v) is int for v in f)):
                 raise InputError(f"facet #{pos} is not a list of integers")
             if len(set(f)) != len(f):
                 raise InputError(f"facet #{pos} has a duplicate vertex: {f}")
@@ -394,6 +394,8 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise InputError("--samples must be at least 1")
     if args.suite == "all":
         names = [n for n in _SUITES if n != "injected-fault"]
     elif args.suite in _SUITES:

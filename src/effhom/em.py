@@ -41,12 +41,12 @@ class EMSpace(RawSSet):
     and i+1 swapped.  `raw_is_degenerate_at` tests this on the labels.
     """
 
-    def __init__(self, group: AbGroup, n: int, kind: str = "K", name=None):
+    def __init__(self, group: AbGroup, n: int, kind: str = "K"):
         super().__init__()
         self.group = group
         self.n = n
         self.kind = kind
-        self.name = name or f"{kind}({group.render()},{n})"
+        self.name = f"{kind}({group.render()},{n})"
 
     def make_raw(self, m, label_items):
         """Canonical raw value from an iterable of (tuple, value) pairs."""
@@ -147,7 +147,7 @@ def delta_map(E: EMSpace, K: EMSpace) -> SMap:
     """The fibration projection E(pi,n) -> K(pi,n+1), z -> delta z."""
     if E.kind != "E" or K.kind != "K" or K.n != E.n + 1:
         raise ValueError("delta runs E(pi,n) -> K(pi,n+1)")
-    return SMap(E, K, lambda raw: K.canon(_delta_raw(E, raw)), name="delta")
+    return SMap(E, K, lambda raw: K.canon(_delta_raw(E, raw)))
 
 
 def twisting_tau(space_down: EMSpace, raw):
@@ -363,12 +363,6 @@ def em1_equivalence(pi: AbGroup) -> Equipped:
 # equipment of the general Eilenberg-MacLane spaces
 # ---------------------------------------------------------------------------
 
-def pulled_back_twist(G: EMSpace, f: SMap):
-    """`twisting_operator` of G -> E -> f.target, pulled back along f."""
-    tau = twisting_operator(G, f.target)
-    return lambda s: tau(f(s))
-
-
 def split_maps(K: EMSpace, P):
     """The isomorphisms split: K(pi,n) -> P and merge: P -> K(pi,n).
 
@@ -402,8 +396,7 @@ def split_maps(K: EMSpace, P):
         return K.canon(K.make_raw(P.dim_of(base),
                                   [(t, tuple(v)) for t, v in items.items()]))
 
-    return (SMap(K, P, fwd_base, name="split"),
-            SMap(P, K, bwd_base, name="merge"))
+    return SMap(K, P, fwd_base), SMap(P, K, bwd_base)
 
 
 def _split_equivalence(pi: AbGroup, n: int) -> Equipped:
@@ -458,16 +451,6 @@ def path_fibration(G: EMSpace):
     return Equipped(TP, CTP, reduction_as_equivalence(contraction))
 
 
-def _em_step(prev: Equipped) -> Equipped:
-    """Equip K(pi,n+1) from equipped K(pi,n) through the path fibration.
-
-    The total space E(pi,n) of `path_fibration` is contractible, so
-    twisted division by the fibre K(pi,n) equips the base K(pi,n+1) on
-    the standard model.
-    """
-    return twisted_division(prev, path_fibration(prev.obj))
-
-
 _em_cache = {}
 
 
@@ -476,8 +459,9 @@ def em_equivalence(pi: AbGroup, n: int) -> Equipped:
 
     A pi with two or more cyclic factors is equipped, at every n, as the
     product of the K(Z/m_j,n) (`_split_equivalence`).  A cyclic or trivial
-    pi is equipped by `em1_equivalence` at n = 1 and by dividing the path
-    fibration (`_em_step`) at n >= 2.
+    pi is equipped by `em1_equivalence` at n = 1.  At n >= 2 the total
+    space E(pi,n-1) of `path_fibration` is contractible, so twisted
+    division by the fibre K(pi,n-1) equips the base K(pi,n).
     """
     if n < 1:
         raise ValueError("em_equivalence needs n >= 1")
@@ -490,6 +474,7 @@ def em_equivalence(pi: AbGroup, n: int) -> Equipped:
     elif n == 1:
         out = em1_equivalence(pi)
     else:
-        out = _em_step(em_equivalence(pi, n - 1))
+        prev = em_equivalence(pi, n - 1)
+        out = twisted_division(prev, path_fibration(prev.obj))
     _em_cache[key] = out
     return out

@@ -81,45 +81,44 @@ def aw(P, CP, T) -> ChainMap:
             out._add(TensorCell((front, back), (j, k - j)), 1)
         return out
 
-    return ChainMap(CP, T, on_cell, name="AW")
+    return ChainMap(CP, T, on_cell)
 
 
-def _shuffles(p, q):
-    """(alpha, beta, sign) over all (p, q)-shuffles of {0..p+q-1}.
+def shuffle_terms(x: Simplex, y: Simplex, pair) -> Chain:
+    """The signed sum of pair(x', y') over all (p, q)-shuffles.
 
-    alpha (|alpha| = q) collects the stall positions of the first factor,
-    beta those of the second; the sign is the shuffle parity, counted as
-    pairs (u in alpha, v in beta) with v > u.
+    x and y are nondegenerate of dimensions p and q.  A shuffle splits
+    {0..p+q-1} into alpha (|alpha| = q), the stall positions of
+    x' = s_alpha x, and beta, those of y' = s_beta y; its sign is the
+    parity of the pairs (u in alpha, v in beta) with v > u.  Degenerate
+    values of pair drop out.
     """
-    idx = range(p + q)
-    for alpha in combinations(idx, q):
-        aset = set(alpha)
-        beta = tuple(j for j in idx if j not in aset)
+    p, q = x.dim, y.dim
+    m = p + q
+    out = Chain(m)
+    for alpha in combinations(range(m), q):
+        beta = tuple(j for j in range(m) if j not in alpha)
         inv = sum(1 for u in alpha for v in beta if v > u)
-        yield alpha, beta, -1 if inv % 2 else 1
+        cell = pair(Simplex(x.base, alpha, m), Simplex(y.base, beta, m))
+        if not cell.is_degenerate():
+            out._add(cell, -1 if inv % 2 else 1)
+    return out
 
 
 def eml(CP, T) -> ChainMap:
     """Shuffle map C(X) (x) C(Y) -> C(X x Y)."""
 
     def on_cell(cell: TensorCell):
-        x, y = cell.parts
-        p, q = cell.dims
-        m = p + q
-        out = Chain(m)
-        for alpha, beta, sign in _shuffles(p, q):
-            a = Simplex(x.base, alpha, m) if alpha else x
-            b = Simplex(y.base, beta, m) if beta else y
-            out._add(nondeg(PairCell(a, b), m), sign)
-        return out
+        return shuffle_terms(*cell.parts,
+                             lambda a, b: nondeg(PairCell(a, b), a.dim))
 
-    return ChainMap(T, CP, on_cell, name="EML")
+    return ChainMap(T, CP, on_cell)
 
 
 def ez_reduction(P, CP, T) -> Reduction:
     """The Eilenberg-Zilber reduction CP = C(X x Y) => T = C(X) (x) C(Y)."""
-    mred = morse_reduction(CP, ez_field(P), name="EZ")
-    return Reduction(CP, T, aw(P, CP, T), eml(CP, T), mred.h, name="EZ")
+    h = morse_reduction(CP, ez_field(P)).h
+    return Reduction(CP, T, aw(P, CP, T), eml(CP, T), h, name="EZ")
 
 
 # ---------------------------------------------------------------------------

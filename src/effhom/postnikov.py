@@ -66,7 +66,7 @@ def _constant_map(X, P0) -> SMap:
             s = P0.degeneracy(0, s)
         return s
 
-    return SMap(X, P0, on_base, name="const")
+    return SMap(X, P0, on_base)
 
 
 def _build_stage(tower: PostnikovTower, i: int,
@@ -91,18 +91,14 @@ def _build_stage(tower: PostnikovTower, i: int,
                  for c in basis if c.tag == "a"}
 
     lambda_full = Cochain(
-        pi, i, lambda cell: rho_f(Chain.single(Tag("a", cell), i + 1)),
-        name=f"lambda_{i}")
+        pi, i, lambda cell: rho_f(Chain.single(Tag("a", cell), i + 1)))
     kappa_full = Cochain(
-        pi, i + 1, lambda cell: rho_f(Chain.single(Tag("b", cell), i + 1)),
-        name=f"kappa_{i - 1}")
+        pi, i + 1, lambda cell: rho_f(Chain.single(Tag("b", cell), i + 1)))
 
     Kup = EMSpace(pi, i + 1)
     E = EMSpace(pi, i, "E")
     k_invariant = cochain_to_map(kappa_full, P_prev.obj, Kup)
-    k_invariant.name = f"k_{i - 1}"
     ell_map = cochain_to_map(lambda_full, Y.obj, E)
-    ell_map.name = f"ell_{i}"
 
     fiber = em_equivalence(pi, i)
     P_i = pullback_fibration(P_prev, k_invariant, fiber)
@@ -117,7 +113,7 @@ def _build_stage(tower: PostnikovTower, i: int,
         g_raw = E.raw_add(e_raw, E.raw_neg(psi_raw))
         return TP.pair(Kn.canon(g_raw), p)
 
-    phi_i = SMap(Y.obj, TP, phi_base, name=f"phi_{i}")
+    phi_i = SMap(Y.obj, TP, phi_base)
     return StageData(i, pi, kappa_ef, lambda_ef, P_i, phi_i, k_invariant,
                      ell_map=ell_map, K_space=Kup, fiber=fiber,
                      eff_P_prev=P_prev.effective)

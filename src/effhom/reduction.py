@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .chains import (CCx, Chain, ChainMap, ConeCCx, Tag, compose_chain_maps,
-                     complex_homology, identity_chain_map, mapping_cone,
+from .chains import (CCx, Chain, ChainMap, ConeCCx, complex_homology,
+                     compose_chain_maps, cone_chain, identity_chain_map,
                      zero_map)
 
 
@@ -28,16 +28,15 @@ class Reduction:
     name: str = None
 
 
-def identity_reduction(C: CCx, name=None) -> Reduction:
+def identity_reduction(C: CCx) -> Reduction:
     ident = identity_chain_map(C)
-    return Reduction(C, C, ident, ident, zero_map(C, C, shift=1),
-                     name=name or "id")
+    return Reduction(C, C, ident, ident, zero_map(C, C, shift=1), name="id")
 
 
-def iso_as_reduction(C: CCx, D: CCx, fwd: ChainMap, bwd: ChainMap,
-                     name=None) -> Reduction:
+def iso_as_reduction(C: CCx, D: CCx, fwd: ChainMap,
+                     bwd: ChainMap) -> Reduction:
     """An isomorphism of complexes as a reduction with h = 0."""
-    return Reduction(C, D, fwd, bwd, zero_map(C, C, shift=1), name=name)
+    return Reduction(C, D, fwd, bwd, zero_map(C, C, shift=1))
 
 
 def compose_reductions(r1: Reduction, r2: Reduction) -> Reduction:
@@ -96,7 +95,7 @@ def reduction_as_equivalence(r: Reduction) -> StrongEq:
 # perturbation lemmas
 # ---------------------------------------------------------------------------
 
-def perturbed_complex(C: CCx, delta: ChainMap, name=None) -> CCx:
+def perturbed_complex(C: CCx, delta: ChainMap) -> CCx:
     """The complex with the same basis and differential d + delta.
 
     It keeps delta as `delta`, so that a lemma perturbing a reduction
@@ -107,7 +106,7 @@ def perturbed_complex(C: CCx, delta: ChainMap, name=None) -> CCx:
         return C.diff_cell(cell) + delta.on_cell(cell)
 
     Cp = CCx(C.cell_dim, diff_cell, C._basis_fn,
-             name=name or (f"{C.name}'" if C.name else None))
+             name=f"{C.name}'" if C.name else None)
     Cp.delta = delta
     return Cp
 
@@ -216,7 +215,7 @@ def perturb_strong_equivalence(eq: StrongEq, big: CCx,
 # discrete vector fields
 # ---------------------------------------------------------------------------
 
-def morse_reduction(C: CCx, field, name=None, critical=None) -> Reduction:
+def morse_reduction(C: CCx, field, critical=None) -> Reduction:
     """Reduction of C onto the span of its critical cells.
 
     `field(cell)` classifies each basis element: None for critical,
@@ -294,11 +293,11 @@ def morse_reduction(C: CCx, field, name=None, critical=None) -> Reduction:
         return crit_part(C.diff(g.on_cell(cell)))
 
     small = CCx(C.cell_dim, small_diff, basis_fn,
-                name=name or (f"{C.name}crit" if C.name else "crit"))
+                name=f"{C.name}crit" if C.name else "crit")
     g = ChainMap(small, C, lambda c: p_chain(Chain.single(c, C.cell_dim(c))))
     f = ChainMap(C, small,
                  lambda c: crit_part(p_chain(Chain.single(c, C.cell_dim(c)))))
-    return Reduction(C, small, f, g, h, name=name)
+    return Reduction(C, small, f, g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +452,6 @@ def conjugate_big(eq: StrongEq, red: Reduction) -> StrongEq:
 # mapping cones over a strong equivalence
 # ---------------------------------------------------------------------------
 
-def _cone_chain(degree, a=None, b=None) -> Chain:
-    """The cone chain (a, b); a lies in the shifted source summand."""
-    out = Chain(degree)
-    for tag, part in (("a", a), ("b", b)):
-        if part is not None:
-            for cell, c in part.items():
-                out._add(Tag(tag, cell), c)
-    return out
-
-
 def cone_reduction(rA: Reduction, rB: Reduction, src: ConeCCx,
                    tgt: ConeCCx) -> Reduction:
     """Cone(phi: A -> B) => Cone(f_B phi g_A: A' -> B') from rA: A => A'
@@ -483,22 +472,22 @@ def cone_reduction(rA: Reduction, rB: Reduction, src: ConeCCx,
     def F_cell(cell):
         k = src.cell_dim(cell)
         if cell.tag == "b":
-            return _cone_chain(k, b=fB.on_cell(cell.cell))
-        return _cone_chain(k, a=fA.on_cell(cell.cell),
+            return cone_chain(k, b=fB.on_cell(cell.cell))
+        return cone_chain(k, a=fA.on_cell(cell.cell),
                            b=fB(phi_h.on_cell(cell.cell)))
 
     def G_cell(cell):
         k = tgt.cell_dim(cell)
         if cell.tag == "b":
-            return _cone_chain(k, b=gB.on_cell(cell.cell))
+            return cone_chain(k, b=gB.on_cell(cell.cell))
         ga = gA.on_cell(cell.cell)
-        return _cone_chain(k, a=ga, b=-hB(phi(ga)))
+        return cone_chain(k, a=ga, b=-hB(phi(ga)))
 
     def H_cell(cell):
         k = src.cell_dim(cell) + 1
         if cell.tag == "b":
-            return _cone_chain(k, b=hB.on_cell(cell.cell))
-        return _cone_chain(k, a=-hA.on_cell(cell.cell),
+            return cone_chain(k, b=hB.on_cell(cell.cell))
+        return cone_chain(k, a=-hA.on_cell(cell.cell),
                            b=hB(phi_h.on_cell(cell.cell)))
 
     return Reduction(src, tgt, ChainMap(src, tgt, F_cell),
@@ -517,9 +506,9 @@ def cone_roof(phi: ChainMap, eqX: StrongEq, eqY: StrongEq) -> StrongEq:
     if phi.source is not eqX.big or phi.target is not eqY.big:
         raise ValueError("phi must run between the big ends")
     LX, LY, RX, RY = eqX.left, eqY.left, eqX.right, eqY.right
-    mid = mapping_cone(compose_chain_maps(LY.g, phi, LX.f))
-    big = mapping_cone(phi)
-    eff = mapping_cone(compose_chain_maps(RY.f, mid.phi, RX.g))
+    mid = ConeCCx(compose_chain_maps(LY.g, phi, LX.f))
+    big = ConeCCx(phi)
+    eff = ConeCCx(compose_chain_maps(RY.f, mid.phi, RX.g))
     return StrongEq(mid, cone_reduction(LX, LY, mid, big),
                     cone_reduction(RX, RY, mid, eff))
 
@@ -540,7 +529,7 @@ def cone_equipment(phi: ChainMap, X: Equipped, Y: Equipped) -> Equipped:
     rX = X.red or identity_reduction(X.chains)
     rY = Y.red or identity_reduction(Y.chains)
     eq = cone_roof(compose_chain_maps(rY.f, phi, rX.g), X.eq, Y.eq)
-    cone = mapping_cone(phi)
+    cone = ConeCCx(phi)
     return Equipped(cone, cone, eq, cone_reduction(rX, rY, cone, eq.big))
 
 
@@ -548,10 +537,11 @@ def cone_equipment(phi: ChainMap, X: Equipped, Y: Equipped) -> Equipped:
 # sampling the reduction axioms
 # ---------------------------------------------------------------------------
 
-def random_chain(basis, k, rng, size=3) -> Chain:
-    """A degree-k chain: `size` draws of a basis element, coefficients in -4..4."""
+def random_chain(basis, k, rng) -> Chain:
+    """A degree-k chain: three draws of a basis element, coefficients in
+    -4..4."""
     out = Chain(k)
-    for _ in range(min(size, len(basis))):
+    for _ in range(min(3, len(basis))):
         out._add(rng.choice(basis), rng.randint(-4, 4))
     return out
 

@@ -123,9 +123,6 @@ class SimplicialSet:
         degs = tuple(sorted([d + 1 if d >= i else d for d in s.degs] + [i]))
         return Simplex(s.base, degs, s.dim + 1)
 
-    def is_degenerate(self, s: Simplex) -> bool:
-        return s.is_degenerate()
-
     def apply_degeneracies(self, s: Simplex, degs) -> Simplex:
         """Apply the canonical word s_{i_t}...s_{i_1} given ascending degs."""
         for i in degs:
@@ -142,7 +139,7 @@ class FinSSet(SimplicialSet):
 
     finite = True
 
-    def __init__(self, cells, faces, name=None):
+    def __init__(self, cells, faces):
         super().__init__()
         self._cells = {int(d): list(cs) for d, cs in cells.items()}
         self._faces = dict(faces)
@@ -152,7 +149,6 @@ class FinSSet(SimplicialSet):
                 if c in self._dims:
                     raise ValueError(f"duplicate cell id {c!r}")
                 self._dims[c] = d
-        self.name = name
 
     def dim_of(self, cell) -> int:
         return self._dims[cell]

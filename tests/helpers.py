@@ -8,6 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import effhom.cli
+from effhom.chains import Chain
 from effhom.em import EMSpace, _delta_raw
 from effhom.reduction import check_reduction, random_chain
 from effhom.simplicial import from_facets
@@ -127,10 +128,27 @@ def torus_complex():
 
 
 def assert_dd_zero(C, max_deg):
+    """dd = 0 on every basis cell of degree <= max_deg, and d lowers the
+    degree by one: d(cell) has degree k - 1, and so has each of its terms."""
     for k in range(max_deg + 1):
         for cell in C.basis(k):
-            z = C.diff(C.diff_cell(cell))
+            d = C.diff_cell(cell)
+            assert d.degree == k - 1, f"d({cell!r}) has degree {d.degree}"
+            for term, _ in d.items():
+                assert C.cell_dim(term) == k - 1, \
+                    f"d({cell!r}) has the term {term!r} of the wrong degree"
+            z = C.diff(d)
             assert z.is_zero(), f"d.d != 0 at {cell!r}: {z!r}"
+
+
+def chain_product(mul_cells, x, y):
+    """x.y for chains x and y, from a product on basis cells."""
+    out = Chain(x.degree + y.degree)
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for cell, c in mul_cells(a, b).items():
+                out._add(cell, ca * cb * c)
+    return out
 
 
 def assert_reduction_axioms(red, max_deg, seed=0, samples=20, **basis):

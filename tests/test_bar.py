@@ -3,10 +3,9 @@ import random
 import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
-from effhom.bar import (TwistedProductSSet, _coefficient_twist,
+from effhom.bar import (TwistedProductSSet, _bar, _coefficient_twist,
                         _division_bars, _strata, _word_complex,
-                        bar_inverse_reduction, em_product,
-                        external_differential, pullback_fibration,
+                        bar_inverse_reduction, em_product, pullback_fibration,
                         suspended_ideal, suspended_ideal_equivalence,
                         twisted_division, twisted_product_equivalence)
 from effhom.chains import (Chain, TensorCell, normalized_chains, tensor,
@@ -17,8 +16,8 @@ from effhom.ez import ez_reduction, product_equivalence, tensor_of_reductions
 from effhom.reduction import (Equipped, compose_reductions, equipped_homology,
                               identity_reduction, reduction_as_equivalence,
                               trivial_equipment, trivial_equivalence)
-from effhom.simplicial import nondeg, product, sphere
-from helpers import (assert_dd_zero, assert_reduction_axioms,
+from effhom.simplicial import product, sphere
+from helpers import (assert_dd_zero, assert_reduction_axioms, chain_product,
                      coefficient_twist_oracle, equipment_samples,
                      random_cocycle_raw)
 
@@ -27,66 +26,76 @@ def unit_twist(G):
     return lambda s: G.zero_simplex(s.dim - 1)
 
 
-def km1_cells(rng, k, count=3):
-    """Random nondegenerate k-cells of K(Z/2,1) in bar coordinates."""
-    K = EMSpace(cyclic(2), 1)
-    return [_cell_from_bars(K, [(1,)] * k) for _ in range(count)]
+def km1_cells(G, rng, k, count):
+    """Seeded distinct nondegenerate k-cells of K(Z/m,1) in bar
+    coordinates, at most `count` of them."""
+    m = G.group.mm[0]
+    words = (_cell_from_bars(G, [(rng.randint(1, m - 1),) for _ in range(k)])
+             for _ in range(count))
+    return list(dict.fromkeys(words))
 
 
 def test_twisted_product_unit_twist_is_plain_product():
-    G = EMSpace(cyclic(2), 1)
+    G = EMSpace(cyclic(3), 1)
     B = sphere(2)
     TP = TwistedProductSSet(G, B, unit_twist(G))
     P = product(G, B)
     rng = random.Random(0)
+    base = [B.simplex(c) for d in range(3) for c in B.cells(d)]
     for _ in range(10):
         k = rng.randint(1, 3)
-        g = _cell_from_bars(G, [(1,)] * k)
-        b = nondeg(tuple(range(k + 1)), k) if k == 2 else B.degeneracy(
-            0, B.degeneracy(0, nondeg((0,), 0))) if k == 2 else None
-    # compare all faces of a specific mixed cell
-    g = _cell_from_bars(G, [(1,), (1,)])
-    b = nondeg((0, 1, 2), 2)
-    cell = TP.pair(g, b)
-    for i in range(3):
-        assert TP.face(i, cell) == P.face(i, cell)
+        g = km1_cells(G, rng, k, 1)[0]
+        b = rng.choice([s for s in base if s.dim <= k])
+        b = B.apply_degeneracies(b, sorted(rng.sample(range(k), k - b.dim)))
+        cell = TP.pair(g, b)
+        for i in range(k + 1):
+            assert TP.face(i, cell) == P.face(i, cell), (cell, i)
 
 
 def test_em_product_basics():
-    G = EMSpace(cyclic(2), 1)
+    G = EMSpace(cyclic(3), 1)
     A = normalized_chains(G)
-    dga = em_product(G, A)
+    mul_cells = em_product(G)
+    unit = G.zero_simplex(0)
     e = _cell_from_bars(G, [(1,)])
     # unit acts as identity
-    assert dga.mul_cells(dga.unit, e) == Chain.single(e, 1)
-    assert dga.mul_cells(e, dga.unit) == Chain.single(e, 1)
-    # degree adds and the Leibniz rule holds
+    assert mul_cells(unit, e) == Chain.single(e, 1)
+    assert mul_cells(e, unit) == Chain.single(e, 1)
+    # degree adds and the Leibniz rule holds, on seeded pairs of cells
     rng = random.Random(2)
-    cells1 = km1_cells(rng, 1) + [_cell_from_bars(G, [(1,)])]
-    cells2 = [_cell_from_bars(G, [(1,), (1,)])]
+    cells1 = km1_cells(G, rng, 1, 6)
+    cells2 = km1_cells(G, rng, 2, 6)
+    assert len(cells1) == 2 and len(cells2) >= 3
+    nonzero = 0
     for a in cells1:
         for b in cells2:
-            ab = dga.mul_cells(a, b)
+            ab = mul_cells(a, b)
             assert ab.is_zero() or ab.degree == 3
+            nonzero += not ab.is_zero()
             lhs = A.diff(ab)
-            rhs = dga.mul(A.diff_cell(a), Chain.single(b, 2)) \
-                - dga.mul(Chain.single(a, 1), A.diff_cell(b))
+            rhs = (chain_product(mul_cells, A.diff_cell(a), Chain.single(b, 2))
+                   - chain_product(mul_cells, Chain.single(a, 1),
+                                   A.diff_cell(b)))
             assert (lhs - rhs).is_zero()
+    assert nonzero > 1
     # associativity on 1-cells
-    x = Chain.single(cells1[0], 1)
-    assert (dga.mul(dga.mul(x, x), x) - dga.mul(x, dga.mul(x, x))).is_zero()
+    for a in cells1:
+        x = Chain.single(a, 1)
+        assert (chain_product(mul_cells, chain_product(mul_cells, x, x), x)
+                - chain_product(mul_cells, x, chain_product(mul_cells, x, x))
+                ).is_zero()
 
 
 def test_em_product_on_kz1_leibniz():
     G = EMSpace(Z, 1)
     A = normalized_chains(G)
-    dga = em_product(G, A)
+    mul_cells = em_product(G)
     a = _cell_from_bars(G, [(2,)])
     b = _cell_from_bars(G, [(3,), (1,)])
-    ab = dga.mul_cells(a, b)
+    ab = mul_cells(a, b)
     lhs = A.diff(ab)
-    rhs = dga.mul(A.diff_cell(a), Chain.single(b, 2)) \
-        - dga.mul(Chain.single(a, 1), A.diff_cell(b))
+    rhs = chain_product(mul_cells, A.diff_cell(a), Chain.single(b, 2)) \
+        - chain_product(mul_cells, Chain.single(a, 1), A.diff_cell(b))
     assert (lhs - rhs).is_zero()
 
 
@@ -142,20 +151,9 @@ def test_suspended_legs_are_reductions(pi):
 def test_bar_inverse_reduction_axioms():
     G = EMSpace(cyclic(2), 1)
     A = normalized_chains(G)
-    dga = em_product(G, A)
     Abar = suspended_ideal(A)
     Zc = z_complex()
-    N = tensor([A, Zc])
-
-    def act(a, ycell):
-        ac, xc = ycell.parts
-        out = Chain(a.dim + ycell.degree)
-        for c, v in dga.mul_cells(a, ac).items():
-            out._add(TensorCell((c, xc), (c.dim, ycell.dims[1])), v)
-        return out
-
-    bar = _word_complex(_strata(Abar, N),
-                        external_differential(dga.mul_cells, act), name="Bar")
+    bar = _bar(_word_complex(_strata(Abar, tensor([A, Zc]))), em_product(G))
     # dd = 0 on a spread of handmade bar words
     rng = random.Random(3)
     words = []
@@ -171,7 +169,7 @@ def test_bar_inverse_reduction_axioms():
         dd = bar.diff(bar.diff_cell(w))
         assert dd.is_zero(), f"dd != 0 on {w!r}: {dd!r}"
     # the standard contraction onto M = Z
-    red = bar_inverse_reduction(bar, Zc, dga.unit)
+    red = bar_inverse_reduction(bar, Zc, G.zero_simplex(0))
     for w in words:
         k = w.degree
         x = Chain.single(w, k)

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
-from effhom.chains import (Chain, Cochain, circle_complex, coboundary,
-                           complex_homology, homology_groups,
-                           induced_chain_map, mapping_cone,
-                           normalized_chains, tensor, tensor_of_chains,
-                           z_complex, zero_map)
+from effhom.chains import (Chain, Cochain, ConeCCx, circle_complex,
+                           coboundary, complex_homology, homology_groups,
+                           induced_chain_map, normalized_chains, tensor,
+                           tensor_of_chains, z_complex, zero_map)
 from effhom.simplicial import (nondeg, product, sphere, standard_simplex,
                                vertex_map)
 from helpers import assert_chain_map, assert_dd_zero, rp2, torus_complex
@@ -96,7 +95,7 @@ def test_tensor_of_chains_leibniz():
 def test_mapping_cone_of_identity_is_acyclic():
     C = normalized_chains(sphere(2))
     from effhom.chains import identity_chain_map
-    cone = mapping_cone(identity_chain_map(C))
+    cone = ConeCCx(identity_chain_map(C))
     assert_dd_zero(cone, 4)
     assert all(g.is_trivial() for g in homology_groups(cone, 4))
 
@@ -104,7 +103,7 @@ def test_mapping_cone_of_identity_is_acyclic():
 def test_mapping_cone_of_zero_map():
     C = normalized_chains(sphere(1))
     D = z_complex()
-    cone = mapping_cone(zero_map(C, D))
+    cone = ConeCCx(zero_map(C, D))
     assert_dd_zero(cone, 3)
     # cone of 0: H_k = H_k(D) + H_{k-1}(C)
     assert homology_groups(cone, 2) == [Z, Z, Z]

@@ -85,6 +85,10 @@ def test_parse_rejects_inconsistent_faces():
     # a string is not a list of cell names
     ({"kind": "simplicial_set", "cells": {"0": "vw"}, "faces": {}},
      "list of cell names"),
+    # JSON booleans are not vertices
+    ({"kind": "facets", "facets": [[True, False, 2], [0, 1, 3], [0, 2, 3],
+                                   [1, 2, 3]]},
+     "facet #0 is not a list of integers"),
 ])
 def test_parse_rejects_malformed_cells_and_faces(tmp_path, capsys, doc,
                                                  message):
@@ -230,6 +234,13 @@ def test_cmd_verify_suites(capsys):
     out = capsys.readouterr().out
     assert "fg=id" in out
     assert main(["verify", "--suite", "nope"]) == 2
+
+
+@pytest.mark.parametrize("suite", ["smith", "injected-fault", "all"])
+def test_verify_refuses_fewer_than_one_sample(capsys, suite):
+    assert main(["verify", "--suite", suite, "--samples", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--samples must be at least 1" in out.err
 
 
 def test_verify_reduction_axioms_covers_the_collapses(capsys):

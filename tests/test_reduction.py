@@ -229,8 +229,8 @@ def test_perturb_strong_equivalence():
 
 def test_iso_as_reduction_swap_factors():
     C = normalized_chains(sphere(1))
-    T = tensor([C, C], name="T")
-    T2 = tensor([C, C], name="T2")
+    T = tensor([C, C])
+    T2 = tensor([C, C])
 
     def swap(sign_from):
         def on_cell(cell):
@@ -279,8 +279,8 @@ def test_perturbed_complex_shares_basis():
 
 def test_cone_equipment_multiplication_map():
     # cone of (x m): Z -> Z has H_0 = Z/m
-    C, D = z_complex("c"), z_complex("d")
-    phi = ChainMap(C, D, lambda c: Chain.single("d", 0, 3))
+    C, D = z_complex(), z_complex()
+    phi = ChainMap(C, D, lambda c: Chain.single("*", 0, 3))
     E = cone_equipment(phi, trivial_equipment(C, C), trivial_equipment(D, D))
     # without reductions on either side the equipment is the cone roof
     assert E.red is None and E.chains is E.eq.big and E.chains.phi is phi

@@ -1,6 +1,8 @@
 """Every name a module of effhom or of its tests imports is used there,
-every parameter of an effhom function is read by its body, and every
-top-level function or class of effhom is referred to somewhere."""
+every parameter of an effhom function is read by its body, every
+defaulted parameter is passed by some call of the library or of the
+benchmark, and every top-level function or class of effhom is referred
+to somewhere."""
 
 import ast
 from pathlib import Path
@@ -112,6 +114,57 @@ def unreferenced_definitions(defining, referring):
     return sorted(out)
 
 
+def unset_options(defining, calling):
+    """(module, line, function, parameter) for every defaulted parameter of
+    a function or method of the `defining` sources that no call in the
+    `calling` sources passes, by keyword or by position.
+
+    A call is matched by the name it calls (a Name or an Attribute), and
+    `__init__` by its class's name; a method's call leaves out `self`.  A
+    call through *args or **kwargs counts as passing every parameter.
+    Both arguments map a module name to its source text.
+    """
+    calls = {}
+    for source in calling.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, param, pos):
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (None, param) for k in call.keywords)
+                or pos is not None and len(call.args) > pos)
+
+    out = []
+    for module, source in defining.items():
+        tree = ast.parse(source)
+        owner = {fn: cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = fn in owner and not static       # self or cls
+            name = owner[fn] if fn.name == "__init__" else fn.name
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            options = [(p.arg, i - skip) for i, p in enumerate(positional)
+                       if i >= first]
+            options += [(p.arg, None) for p, d in zip(a.kwonlyargs,
+                                                      a.kw_defaults)
+                        if d is not None]
+            out += [(module, fn.lineno, name, param)
+                    for param, pos in options
+                    if not any(passes(c, param, pos)
+                               for c in calls.get(name, ()))]
+    return sorted(out)
+
+
 def test_modules_are_found():
     assert {p.stem for p in MODULES} >= {"cli", "em", "ez", "reduction",
                                          "helpers", "test_em"}
@@ -163,3 +216,28 @@ def test_checker_flags_an_unused_parameter():
            "def f(cls, seed, samples):\n    return seed\n")
     assert unused_parameters(src) == [(4, "n", "args"), (5, "inner", "b"),
                                       (8, "f", "samples")]
+
+
+# test hooks that only the tests set: `basis` samples complexes without a
+# finite basis (`helpers.equipment_samples`), and `cols` gives the width of
+# a matrix with no rows (`helpers.dense_smith_normal_form`)
+TEST_HOOKS = {("check_reduction", "basis"), ("from_rows", "cols")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_unset_options(path):
+    calling = {p.stem: p.read_text() for p in SOURCES + PERFBENCH}
+    unset = unset_options({path.stem: path.read_text()}, calling)
+    assert [u for u in unset if u[2:] not in TEST_HOOKS] == []
+
+
+def test_checker_flags_an_unset_option():
+    src = ("class A:\n"
+           "    def __init__(self, x, y=0, z=1):\n        pass\n"
+           "    def m(self, u=0, *, v=1, w=2):\n        pass\n"
+           "def f(a, b=0, c=1):\n    return A(a, 2).m(1, w=2)\n"
+           "def g(p=0, q=1):\n    return f(1, **{}), g(*())\n"
+           "def h(r=0):\n    return A(r, z=r)\n")
+    other = "def lone(s=0):\n    pass\n"
+    assert unset_options({"m": src, "n": other}, {"m": src}) == [
+        ("m", 4, "m", "v"), ("m", 10, "h", "r"), ("n", 1, "lone", "s")]
