@@ -10,8 +10,6 @@ may describe isomorphic groups with different mm tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -62,9 +60,6 @@ class AbGroup:
     def add(self, x, y) -> tuple:
         return self.reduce(a + b for a, b in zip(x, y))
 
-    def sub(self, x, y) -> tuple:
-        return self.reduce(a - b for a, b in zip(x, y))
-
     def neg(self, x) -> tuple:
         return self.reduce(-a for a in x)
 
@@ -73,26 +68,6 @@ class AbGroup:
 
     def is_zero(self, x) -> bool:
         return all(c == 0 for c in self.reduce(x))
-
-    def elements(self):
-        """Iterate all elements; only valid for finite groups."""
-        if self.rank:
-            raise ValueError("group is infinite")
-
-        def rec(i, prefix):
-            if i == len(self.mm):
-                yield tuple(prefix)
-                return
-            for c in range(self.mm[i]):
-                yield from rec(i + 1, prefix + [c])
-
-        yield from rec(0, [])
-
-    def exponent(self) -> int:
-        """lcm of the torsion moduli (0 if there is free rank)."""
-        if self.rank:
-            return 0
-        return reduce(lambda a, b: a * b // gcd(a, b), self.torsion, 1)
 
     # -- rendering ---------------------------------------------------------
 

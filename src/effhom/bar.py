@@ -21,52 +21,19 @@ from __future__ import annotations
 
 from functools import cache
 
-from .chains import (CCx, Chain, ChainMap, TensorCell, normalized_chains,
-                     tensor)
+from .chains import (CCx, Chain, ChainMap, TensorCCx, TensorCell,
+                     normalized_chains)
 from .ez import (ez_reduction, product_equivalence, shuffle_terms,
                  tensor_of_equivalences)
 from .reduction import (Equipped, Reduction, StrongEq, basic_perturbation,
                         conjugate_big, perturb_strong_equivalence,
                         perturbed_complex)
-from .simplicial import ProductSSet, Simplex, product
+from .simplicial import ProductSSet, Simplex
 
 
 # ---------------------------------------------------------------------------
 # twisted cartesian products
 # ---------------------------------------------------------------------------
-
-def check_twist_axioms(TP, simplices):
-    """Verify the four twisting-operator identities of TP = G x_tau B on
-    the given B-simplices.
-
-    tau sends an l-simplex of B to an (l-1)-simplex of the simplicial
-    group G; in additive notation the conditions are
-        d0 tau(b) = tau(d1 b) - tau(d0 b),
-        di tau(b) = tau(d_{i+1} b)   (i >= 1),
-        si tau(b) = tau(s_{i+1} b),
-        tau(s0 b) = unit.
-    """
-    G, B, tau = TP.X, TP.Y, TP.tau
-    for s in simplices:
-        m = s.dim
-        if m < 1:
-            continue
-        t = G.uncanon(tau(s))
-        if m >= 2:
-            lhs = G.raw_face(0, t)
-            rhs = G.raw_add(G.uncanon(tau(B.face(1, s))),
-                            G.raw_neg(G.uncanon(tau(B.face(0, s)))))
-            if lhs != rhs:
-                raise ValueError(f"twist axiom (i) fails on {s!r}")
-            for i in range(1, m - 1):
-                if G.raw_face(i, t) != G.uncanon(tau(B.face(i + 1, s))):
-                    raise ValueError(f"twist axiom (ii) fails on {s!r}, i={i}")
-        for i in range(m - 1):
-            if G.raw_degeneracy(i, t) != G.uncanon(tau(B.degeneracy(i + 1, s))):
-                raise ValueError(f"twist axiom (iii) fails on {s!r}, i={i}")
-        if G.uncanon(tau(B.degeneracy(0, s))) != G.raw_unit(m):
-            raise ValueError(f"twist axiom (iv) fails on {s!r}")
-
 
 class TwistedProductSSet(ProductSSet):
     """G x_tau B: the cartesian product with the 0-face twisted by tau.
@@ -242,7 +209,7 @@ def suspended_ideal_equivalence(eqA: StrongEq) -> StrongEq:
 
 def _strata(abar: CCx, N: CCx):
     """n -> the tensor complex abar^(x)n (x) N, cached."""
-    return cache(lambda n: tensor([abar] * n + [N]))
+    return cache(lambda n: TensorCCx([abar] * n + [N]))
 
 
 def external_differential(mul_cells):
@@ -387,7 +354,7 @@ def bar_inverse_reduction(bar: CCx, M: CCx, unit: Simplex) -> Reduction:
     return Reduction(bar, M,
                      ChainMap(bar, M, f_cell),
                      ChainMap(M, bar, g_cell),
-                     ChainMap(bar, bar, h_cell, shift=1), name="bar-inv")
+                     ChainMap(bar, bar, h_cell, shift=1))
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +408,8 @@ def _division_bars(G_eq: Equipped, total_eq: Equipped):
     G, B = TP.X, TP.Y
     A = G_eq.chains
     CB = normalized_chains(B)
-    P_un = product(G, B)
-    T0 = tensor([A, CB])
+    P_un = ProductSSet(G, B)
+    T0 = TensorCCx([A, CB])
     red2 = _twisted_reduction(ez_reduction(P_un, normalized_chains(P_un), T0),
                               TP, total_eq.chains)
     eq_Q = conjugate_big(total_eq.eq, red2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .abgroup import AbGroup
-from .smith import IntMatrix, homology as _matrix_homology
+from .smith import HomologySolver, IntMatrix
 
 
 class Chain:
@@ -304,10 +304,6 @@ def _tensor_basis(factors, k):
                 yield (b,) + parts, (d,) + dims
 
 
-def tensor(factors) -> TensorCCx:
-    return TensorCCx(factors)
-
-
 def tensor_of_chains(chains) -> Chain:
     """c_1 x ... x c_n as a chain in the tensor complex."""
     degree = sum(c.degree for c in chains)
@@ -427,19 +423,6 @@ class Cochain:
             self._cache[cell] = hit
         return hit
 
-    def __call__(self, chain: Chain):
-        if chain.degree != self.degree and not chain.is_zero():
-            raise ValueError("cochain applied in wrong degree")
-        acc = self.group.zero()
-        for cell, c in chain.items():
-            acc = self.group.add(acc, self.group.scale(c, self.eval_cell(cell)))
-        return acc
-
-
-def coboundary(c: Cochain, C: CCx) -> Cochain:
-    """(delta c)(x) = c(dx)."""
-    return Cochain(c.group, c.degree + 1, lambda cell: c(C.diff_cell(cell)))
-
 
 # ---------------------------------------------------------------------------
 # homology of effective complexes
@@ -463,9 +446,8 @@ class ChainHomologySolver:
     def __init__(self, C: CCx, k: int):
         self.k = k
         self._basis = C.basis(k)
-        self._basis_up = C.basis(k + 1)
         self._index = {cell: i for i, cell in enumerate(self._basis)}
-        self._solver = _matrix_homology(diff_matrix(C, k), diff_matrix(C, k + 1))
+        self._solver = HomologySolver(diff_matrix(C, k), diff_matrix(C, k + 1))
         self.group = self._solver.group
 
     def _vec(self, chain: Chain):
@@ -473,9 +455,6 @@ class ChainHomologySolver:
         for cell, c in chain.items():
             v[self._index[cell]] = c
         return v
-
-    def _chain(self, vec, basis, degree):
-        return Chain(degree, [(b, c) for b, c in zip(basis, vec)])
 
     def class_of(self, z: Chain):
         return self._solver.class_of(self._vec(z))
@@ -485,13 +464,7 @@ class ChainHomologySolver:
         return self._solver.projected_class_of(self._vec(x))
 
     def rep_of(self, elt) -> Chain:
-        return self._chain(self._solver.rep_of(elt), self._basis, self.k)
-
-    def boundary_witness(self, z: Chain) -> Chain:
-        if len(self._basis_up) == 0 and not z.is_zero():
-            raise ValueError("cycle is not a boundary")
-        v = self._solver.boundary_witness(self._vec(z))
-        return self._chain(v, self._basis_up, self.k + 1)
+        return Chain(self.k, zip(self._basis, self._solver.rep_of(elt)))
 
 
 def complex_homology(C: CCx, k: int) -> ChainHomologySolver:

@@ -204,18 +204,6 @@ def pseudo_section_psi(space_E: EMSpace, raw):
     return space_E.make_raw(m, out)
 
 
-def ev(space: EMSpace, chain: Chain):
-    """Evaluate a degree-n chain on the fundamental cochain; values in pi."""
-    if chain.degree != space.n and not chain.is_zero():
-        raise ValueError(f"ev needs degree {space.n}, got {chain.degree}")
-    top = tuple(range(space.n + 1))
-    acc = space.group.zero()
-    for cell, c in chain.items():
-        acc = space.group.add(acc,
-                              space.group.scale(c, space.label(cell.base, top)))
-    return acc
-
-
 def cochain_to_map(kappa: Cochain, X, target: EMSpace) -> SMap:
     """The simplicial map adjoint to a pi-valued cochain on X.
 
@@ -239,19 +227,6 @@ def cochain_to_map(kappa: Cochain, X, target: EMSpace) -> SMap:
         return target.canon(target.make_raw(m, items))
 
     return SMap(X, target, on_base)
-
-
-def map_to_cochain(f: SMap, space: EMSpace) -> Cochain:
-    """Read back the cochain of a simplicial map into E(pi,n) or K(pi,n)."""
-    top = tuple(range(space.n + 1))
-
-    def eval_cell(cell):
-        img = f(cell)
-        if img.is_degenerate():
-            return space.group.zero()
-        return space.label(img.base, top)
-
-    return Cochain(space.group, space.n, eval_cell)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +422,7 @@ def path_fibration(G: EMSpace):
         CTP, Zc,
         ChainMap(CTP, Zc, f_cell),
         ChainMap(Zc, CTP, lambda c: Chain.single(vertex, 0)),
-        ChainMap(CTP, CTP, h_cell, shift=1), name="path-contraction")
+        ChainMap(CTP, CTP, h_cell, shift=1))
     return Equipped(TP, CTP, reduction_as_equivalence(contraction))
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .chains import (Chain, ChainMap, TensorCell, normalized_chains, tensor,
-                     tensor_of_chains)
+from .chains import (Chain, ChainMap, TensorCCx, TensorCell,
+                     normalized_chains, tensor_of_chains)
 from .reduction import (Equipped, Reduction, StrongEq, compose_reductions,
                         identity_reduction, morse_reduction)
-from .simplicial import PairCell, Simplex, nondeg, product
+from .simplicial import PairCell, ProductSSet, Simplex, nondeg
 
 
 def _word(base: PairCell, m: int) -> str:
@@ -118,7 +118,7 @@ def eml(CP, T) -> ChainMap:
 def ez_reduction(P, CP, T) -> Reduction:
     """The Eilenberg-Zilber reduction CP = C(X x Y) => T = C(X) (x) C(Y)."""
     h = morse_reduction(CP, ez_field(P)).h
-    return Reduction(CP, T, aw(P, CP, T), eml(CP, T), h, name="EZ")
+    return Reduction(CP, T, aw(P, CP, T), eml(CP, T), h)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,10 @@ def tensor_of_reductions(reds, source=None, target=None) -> Reduction:
     with the Koszul sign (-1)^(degree left of the h slot) on each summand.
     """
     reds = list(reds)
-    source = source if source is not None else tensor([r.source for r in reds])
-    target = target if target is not None else tensor([r.target for r in reds])
+    source = (source if source is not None
+              else TensorCCx([r.source for r in reds]))
+    target = (target if target is not None
+              else TensorCCx([r.target for r in reds]))
 
     def F_cell(cell):
         return tensor_of_chains([r.f.on_cell(p)
@@ -177,8 +179,8 @@ def tensor_of_equivalences(eqs, big) -> StrongEq:
     """Slotwise tensor of strong equivalences; `big` is the tensor of their
     big ends."""
     eqs = list(eqs)
-    middle = tensor([e.middle for e in eqs])
-    small = tensor([e.small for e in eqs])
+    middle = TensorCCx([e.middle for e in eqs])
+    small = TensorCCx([e.small for e in eqs])
     left = tensor_of_reductions([e.left for e in eqs], source=middle, target=big)
     right = tensor_of_reductions([e.right for e in eqs], source=middle,
                                  target=small)
@@ -202,9 +204,9 @@ def product_equivalence(factors) -> Equipped:
     if len(factors) == 1:
         return factors[0]
     head, rest = factors[0], product_equivalence(factors[1:])
-    P = product(head.obj, rest.obj)
+    P = ProductSSet(head.obj, rest.obj)
     CP = normalized_chains(P)
-    T = tensor([head.chains, rest.chains])
+    T = TensorCCx([head.chains, rest.chains])
     red = ez_reduction(P, CP, T)
     if head.red is not None or rest.red is not None:
         red = compose_reductions(red, tensor_of_reductions(

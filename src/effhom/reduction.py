@@ -13,9 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .chains import (CCx, Chain, ChainMap, ConeCCx, complex_homology,
-                     compose_chain_maps, cone_chain, identity_chain_map,
-                     zero_map)
+from .chains import (CCx, Chain, ChainMap, ConeCCx, compose_chain_maps,
+                     cone_chain, identity_chain_map, zero_map)
 
 
 @dataclass
@@ -25,12 +24,11 @@ class Reduction:
     f: ChainMap           # source -> target
     g: ChainMap           # target -> source
     h: ChainMap           # source -> source, degree +1
-    name: str = None
 
 
 def identity_reduction(C: CCx) -> Reduction:
     ident = identity_chain_map(C)
-    return Reduction(C, C, ident, ident, zero_map(C, C, shift=1), name="id")
+    return Reduction(C, C, ident, ident, zero_map(C, C, shift=1))
 
 
 def iso_as_reduction(C: CCx, D: CCx, fwd: ChainMap,
@@ -224,11 +222,11 @@ def morse_reduction(C: CCx, field, critical=None) -> Reduction:
     pairing must be admissible: the coefficient of sigma in d(tau) is
     +-1 and the induced flow terminates.  The flow is walked with an
     explicit stack, so a long gradient path costs no recursion depth, and
-    a flow that returns to a cell it is still resolving is refused.
-    `critical(k)` lists the degree-k critical cells; the small complex
-    takes it as its basis when C has none of its own.
+    a flow that returns to a cell it is still resolving is refused; every
+    cell it resolves goes into the memo of h.  `critical(k)` lists the
+    degree-k critical cells; the small complex takes it as its basis when
+    C has none of its own.
     """
-    h_cache = {}
 
     def flow_step(cell):
         """(eps, tau, rest of d(tau)) for a source cell, else None."""
@@ -245,6 +243,7 @@ def morse_reduction(C: CCx, field, critical=None) -> Reduction:
 
     def h_cell(cell):
         # h(sigma) = eps (tau - h(d tau - eps sigma)) for a source sigma
+        h_cache = h._cache
         stack, waiting = [cell], {}    # waiting: sources whose faces are resolving
         while stack:
             top = stack[-1]
@@ -415,26 +414,6 @@ def collapse_equipment(X, C: CCx) -> Equipped:
     reduction onto the critical cells of `collapse_field`."""
     field = collapse_field(C, X.top_dim)
     return Equipped(X, C, reduction_as_equivalence(morse_reduction(C, field.get)))
-
-
-class EquippedHomology:
-    """H_k of an equipped object, with class/representative transport."""
-
-    def __init__(self, E: Equipped, k: int):
-        self.E = E
-        self.k = k
-        self._solver = complex_homology(E.effective, k)
-        self.group = self._solver.group
-
-    def class_of(self, z: Chain):
-        return self._solver.class_of(self.E.push(z))
-
-    def rep_of(self, elt) -> Chain:
-        return self.E.pull(self._solver.rep_of(elt))
-
-
-def equipped_homology(E: Equipped, k: int) -> EquippedHomology:
-    return EquippedHomology(E, k)
 
 
 # ---------------------------------------------------------------------------

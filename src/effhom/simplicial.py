@@ -242,22 +242,6 @@ def identity_map(X) -> SMap:
     return SMap(X, X, lambda base: nondeg(base, X.dim_of(base)))
 
 
-def vertex_map(X: FinSSet, Y: FinSSet, vmap) -> SMap:
-    """Map of facet complexes induced by a monotone vertex assignment."""
-
-    def on_base(cell):
-        image = [vmap[v] for v in cell]
-        if list(image) != sorted(image):
-            raise ValueError("vertex map must be monotone on each cell")
-        distinct = tuple(sorted(set(image)))
-        # stall positions of the image word are the degeneracy indices
-        stalls = tuple(j for j in range(len(image) - 1)
-                       if image[j + 1] == image[j])
-        return Simplex(distinct, stalls, len(image) - 1)
-
-    return SMap(X, Y, on_base)
-
-
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
@@ -349,10 +333,6 @@ def _disjoint_stall_sets(m, p, q):
         rest = [j for j in idx if j not in A]
         for B in combinations(rest, m - q):
             yield tuple(A), tuple(B)
-
-
-def product(X, Y) -> ProductSSet:
-    return ProductSSet(X, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols)
-
     def get(self, i, j):
         return self.entries.get((i, j), 0)
 
@@ -293,7 +289,7 @@ def _axpy(dst, src, q):
 
 
 class HomologySolver:
-    """H_k = ker(d_k) / im(d_{k+1}) with class / representative / witness maps.
+    """H_k = ker(d_k) / im(d_{k+1}) with class and representative maps.
 
     Works on integer coordinate vectors over the degree-k basis; chain-level
     wrappers live with the chain-complex code.
@@ -318,8 +314,7 @@ class HomologySolver:
             if any(y[:r]):
                 raise ValueError("image of d_{k+1} is not contained in ker d_k")
             b_entries.update(((i, c), v) for i, v in enumerate(y[r:]))
-        self._B = IntMatrix(z, d_k1.cols, b_entries)
-        self._snf2 = smith_normal_form(self._B)
+        self._snf2 = smith_normal_form(IntMatrix(z, d_k1.cols, b_entries))
         diag2 = self._snf2.diagonal
 
         self._free_idx = []
@@ -373,24 +368,3 @@ class HomologySolver:
         for pos, (i, _d) in enumerate(self._tor_idx):
             w[i] = elt[len(self._free_idx) + pos]
         return self._snf1.V.apply([0] * self._r + self._snf2.Uinv.apply(w))
-
-    def boundary_witness(self, x):
-        """Solve d_{k+1}(w) = x for a null-homologous cycle x."""
-        w = self._snf2.U.apply(self._kernel_coords(x))
-        diag2 = self._snf2.diagonal
-        t = [0] * self._B.cols
-        for i in range(len(w)):
-            d = diag2[i] if i < len(diag2) else 0
-            if d == 0:
-                if w[i]:
-                    raise ValueError("cycle is not a boundary")
-            else:
-                if w[i] % d:
-                    raise ValueError("cycle is not a boundary")
-                if i < len(t):
-                    t[i] = w[i] // d
-        return self._snf2.V.apply(t)
-
-
-def homology(d_k: IntMatrix, d_k1: IntMatrix) -> HomologySolver:
-    return HomologySolver(d_k, d_k1)

@@ -8,10 +8,10 @@ from itertools import combinations
 from pathlib import Path
 
 import effhom.cli
-from effhom.chains import Chain
+from effhom.chains import Chain, Cochain
 from effhom.em import EMSpace, _delta_raw
 from effhom.reduction import check_reduction, random_chain
-from effhom.simplicial import from_facets
+from effhom.simplicial import SMap, Simplex, from_facets
 from effhom.smith import SNF, IntMatrix
 
 # minimal 6-vertex triangulation of the real projective plane
@@ -57,6 +57,114 @@ def coefficient_twist_oracle(barQ, bar0):
     bar differentials over the twisted and the untwisted tensor complex, on
     a word.  An oracle for `effhom.bar._coefficient_twist`."""
     return lambda cell: barQ.diff_cell(cell) - bar0.diff_cell(cell)
+
+
+def check_twist_axioms(TP, simplices):
+    """Verify the four twisting-operator identities of TP = G x_tau B on
+    the given B-simplices.
+
+    tau sends an l-simplex of B to an (l-1)-simplex of the simplicial
+    group G; in additive notation the conditions are
+        d0 tau(b) = tau(d1 b) - tau(d0 b),
+        di tau(b) = tau(d_{i+1} b)   (i >= 1),
+        si tau(b) = tau(s_{i+1} b),
+        tau(s0 b) = unit.
+    """
+    G, B, tau = TP.X, TP.Y, TP.tau
+    for s in simplices:
+        m = s.dim
+        if m < 1:
+            continue
+        t = G.uncanon(tau(s))
+        if m >= 2:
+            lhs = G.raw_face(0, t)
+            rhs = G.raw_add(G.uncanon(tau(B.face(1, s))),
+                            G.raw_neg(G.uncanon(tau(B.face(0, s)))))
+            if lhs != rhs:
+                raise ValueError(f"twist axiom (i) fails on {s!r}")
+            for i in range(1, m - 1):
+                if G.raw_face(i, t) != G.uncanon(tau(B.face(i + 1, s))):
+                    raise ValueError(f"twist axiom (ii) fails on {s!r}, i={i}")
+        for i in range(m - 1):
+            if G.raw_degeneracy(i, t) != G.uncanon(tau(B.degeneracy(i + 1, s))):
+                raise ValueError(f"twist axiom (iii) fails on {s!r}, i={i}")
+        if G.uncanon(tau(B.degeneracy(0, s))) != G.raw_unit(m):
+            raise ValueError(f"twist axiom (iv) fails on {s!r}")
+
+
+def ev(space, chain):
+    """Evaluate a degree-n chain of K(pi,n) or E(pi,n) on the fundamental
+    cochain; values in pi."""
+    if chain.degree != space.n and not chain.is_zero():
+        raise ValueError(f"ev needs degree {space.n}, got {chain.degree}")
+    top = tuple(range(space.n + 1))
+    acc = space.group.zero()
+    for cell, c in chain.items():
+        acc = space.group.add(acc,
+                              space.group.scale(c, space.label(cell.base, top)))
+    return acc
+
+
+def map_to_cochain(f, space):
+    """Read back the cochain of a simplicial map into E(pi,n) or K(pi,n);
+    the inverse of `effhom.em.cochain_to_map`."""
+    top = tuple(range(space.n + 1))
+
+    def eval_cell(cell):
+        img = f(cell)
+        if img.is_degenerate():
+            return space.group.zero()
+        return space.label(img.base, top)
+
+    return Cochain(space.group, space.n, eval_cell)
+
+
+def cochain_value(c, chain):
+    """The value of the cochain c on a chain of its degree."""
+    if chain.degree != c.degree and not chain.is_zero():
+        raise ValueError("cochain applied in wrong degree")
+    acc = c.group.zero()
+    for cell, v in chain.items():
+        acc = c.group.add(acc, c.group.scale(v, c.eval_cell(cell)))
+    return acc
+
+
+def coboundary(c, C):
+    """(delta c)(x) = c(dx), for a cochain c on the complex C."""
+    return Cochain(c.group, c.degree + 1,
+                   lambda cell: cochain_value(c, C.diff_cell(cell)))
+
+
+def vertex_map(X, Y, vmap):
+    """Map of facet complexes induced by a monotone vertex assignment."""
+
+    def on_base(cell):
+        image = [vmap[v] for v in cell]
+        if list(image) != sorted(image):
+            raise ValueError("vertex map must be monotone on each cell")
+        distinct = tuple(sorted(set(image)))
+        # stall positions of the image word are the degeneracy indices
+        stalls = tuple(j for j in range(len(image) - 1)
+                       if image[j + 1] == image[j])
+        return Simplex(distinct, stalls, len(image) - 1)
+
+    return SMap(X, Y, on_base)
+
+
+def serialize_sset(X):
+    """The `simplicial_set` document of a finite simplicial set; cell names
+    become strings."""
+    cells, faces = {}, {}
+    for d in range(X.top_dim + 1):
+        names = [str(c) for c in X.cells(d)]
+        if names:
+            cells[str(d)] = names
+        for c in X.cells(d):
+            if d >= 1:
+                faces[str(c)] = [[str(f.base), list(f.degs)]
+                                 for f in (X.base_face(i, c)
+                                           for i in range(d + 1))]
+    return {"kind": "simplicial_set", "cells": cells, "faces": faces}
 
 
 # directory holding the `effhom` package this process imported (`src/`);

@@ -9,8 +9,7 @@ import pytest
 
 from effhom.abgroup import AbGroup, Z, cyclic
 from effhom.chains import homology_groups, normalized_chains
-from effhom.reduction import (check_reduction, equipped_homology,
-                              trivial_equipment)
+from effhom.reduction import check_reduction, trivial_equipment
 from effhom.simplicial import from_facets, sphere
 from helpers import RP2_FACETS, TORUS_FACETS, run_cli
 
@@ -47,7 +46,7 @@ def test_criterion_1_finite_homology(report):
     from effhom.ez import product_equivalence
     S1 = sphere(1)
     eq = product_equivalence([equip(S1, "C(S1)a"), equip(S1, "C(S1)b")])
-    ez_groups = [equipped_homology(eq, k).group for k in range(3)]
+    ez_groups = homology_groups(eq.effective, 2)
     brute = homology_groups(
         normalized_chains(from_facets(TORUS_FACETS)), 2)
     ok &= ez_groups == brute == [Z, AbGroup((0, 0)), Z]
@@ -63,13 +62,13 @@ def test_criterion_2_em_homology(report):
     t0 = time.monotonic()
     ok = True
     E = em_equivalence(cyclic(2), 1)
-    got = [equipped_homology(E, k).group.render() for k in range(7)]
+    got = [g.render() for g in homology_groups(E.effective, 6)]
     ok &= got == ["Z", "Z/2", "0", "Z/2", "0", "Z/2", "0"]
     E = em_equivalence(Z, 2)
-    got = [equipped_homology(E, k).group.render() for k in range(7)]
+    got = [g.render() for g in homology_groups(E.effective, 6)]
     ok &= got == ["Z", "0", "Z", "0", "Z", "0", "Z"]
     E = em_equivalence(Z, 1)
-    got = [equipped_homology(E, k).group.render() for k in range(4)]
+    got = [g.render() for g in homology_groups(E.effective, 3)]
     ok &= got == ["Z", "Z", "0", "0"]
     elapsed = time.monotonic() - t0
     ok &= elapsed < 300.0
@@ -108,9 +107,10 @@ def instrumented_s3_run():
     import effhom.reduction as red_mod
 
     registry = []
-    counts = {"zero_checked_bpl": 0}
+    counts = {"zero_checked_bpl": 0, "twisted_division": 0}
     orig_init = red_mod.Reduction.__init__
     orig_bpl = bar_mod.basic_perturbation
+    orig_inv = bar_mod.bar_inverse_reduction
 
     def init_spy(self, *a, **kw):
         orig_init(self, *a, **kw)
@@ -121,8 +121,14 @@ def instrumented_s3_run():
             counts["zero_checked_bpl"] += 1
         return orig_bpl(*a, **kw)
 
+    def inv_spy(*a, **kw):
+        # each division builds one standard bar contraction
+        counts["twisted_division"] += 1
+        return orig_inv(*a, **kw)
+
     red_mod.Reduction.__init__ = init_spy
     bar_mod.basic_perturbation = bpl_spy
+    bar_mod.bar_inverse_reduction = inv_spy
     em_mod._em_cache.clear()
     pk_mod._tower_cache.clear()
     try:
@@ -134,8 +140,7 @@ def instrumented_s3_run():
     finally:
         red_mod.Reduction.__init__ = orig_init
         bar_mod.basic_perturbation = orig_bpl
-    # each division builds one standard bar contraction
-    counts["twisted_division"] = sum(red.name == "bar-inv" for red in registry)
+        bar_mod.bar_inverse_reduction = orig_inv
     return registry, counts, tower
 
 

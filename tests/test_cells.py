@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from effhom.abgroup import AbGroup, Z, cyclic
 from effhom.bar import TwistedProductSSet
-from effhom.chains import Tag, TensorCell, normalized_chains, tensor
+from effhom.chains import Tag, TensorCCx, TensorCell, normalized_chains
 from effhom.em import EMSpace, twisting_operator
 from effhom.simplicial import (PairCell, ProductSSet, RawSSet, Simplex,
                                sphere)
@@ -173,7 +173,7 @@ def test_stored_hash_is_the_field_tuple_hash():
 
 
 def test_basis_is_built_once_and_read_only():
-    C = tensor([normalized_chains(sphere(2)), normalized_chains(sphere(1))])
+    C = TensorCCx([normalized_chains(sphere(2)), normalized_chains(sphere(1))])
     b = C.basis(2)
     assert isinstance(b, tuple) and C.basis(2) is b
     assert list(b) == list(C._basis_fn(2))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from effhom.chains import homology_groups, normalized_chains
-from effhom.cli import (InputError, main, parse_document, serialize_sset)
-from helpers import RP2_FACETS, run_cli, stacked_sphere
+from effhom.cli import InputError, main, parse_document
+from helpers import RP2_FACETS, run_cli, serialize_sset, stacked_sphere
 
 S2_DOC = {"kind": "facets", "facets": [[0, 1, 2], [0, 1, 3],
                                        [0, 2, 3], [1, 2, 3]]}
@@ -89,6 +89,13 @@ def test_parse_rejects_inconsistent_faces():
     ({"kind": "facets", "facets": [[True, False, 2], [0, 1, 3], [0, 2, 3],
                                    [1, 2, 3]]},
      "facet #0 is not a list of integers"),
+    # face entries for an undeclared cell and for a 0-cell
+    ({"kind": "simplicial_set", "cells": {"0": ["v"], "2": ["c"]},
+      "faces": {"c": [["v", [0]]] * 3, "zz": []}},
+     "entry for 'zz'"),
+    ({"kind": "simplicial_set", "cells": {"0": ["v"], "2": ["c"]},
+      "faces": {"c": [["v", [0]]] * 3, "v": []}},
+     "entry for 'v'"),
 ])
 def test_parse_rejects_malformed_cells_and_faces(tmp_path, capsys, doc,
                                                  message):

@@ -1,5 +1,6 @@
 """The greedy collapse matching and the equipment built on it."""
 
+import inspect
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from effhom.chains import homology_groups, normalized_chains
 from effhom.reduction import (check_reduction, collapse_equipment,
                               collapse_field, morse_reduction)
 from effhom.simplicial import FinSSet, Simplex, from_facets, nondeg, sphere
-from helpers import RP2_FACETS, run_python, stacked_sphere
+from helpers import RP2_FACETS, run_python, serialize_sset, stacked_sphere
 
 VERTEX = Simplex("v", (), 0)
 COLLAPSED_EDGE = Simplex("v", (0,), 1)
@@ -131,12 +132,12 @@ def test_a_cyclic_field_is_refused():
 
 # ten tetrahedra and ten triangles on nine vertices, with many free faces
 # to start from; the cells are named by strings, whose hashes change with
-# the hash seed
-EFFECTIVE_BASIS = """
+# the hash seed; the script carries its own copy of `serialize_sset`
+EFFECTIVE_BASIS = inspect.getsource(serialize_sset) + """
 import random
 from itertools import combinations
 from effhom.chains import normalized_chains
-from effhom.cli import parse_document, serialize_sset
+from effhom.cli import parse_document
 from effhom.reduction import collapse_equipment
 from effhom.simplicial import from_facets
 rng = random.Random(5)

@@ -5,17 +5,17 @@ from math import gcd
 import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
-from effhom.chains import Chain, Cochain, normalized_chains
-from effhom.bar import check_twist_axioms
+from effhom.chains import (Chain, Cochain, complex_homology, homology_groups,
+                           normalized_chains)
 from effhom.em import (EMSpace, _cell_from_bars, cochain_to_map, cone_raw,
-                       delta_map, em1_equivalence, em_equivalence, ev,
-                       kzm1_field, map_to_cochain, path_fibration,
-                       pseudo_section_psi, split_maps, twisting_tau)
-from effhom.reduction import equipped_homology, morse_reduction
-from effhom.simplicial import nondeg, product, standard_simplex
+                       delta_map, em1_equivalence, em_equivalence, kzm1_field,
+                       path_fibration, pseudo_section_psi, split_maps,
+                       twisting_tau)
+from effhom.reduction import morse_reduction
+from effhom.simplicial import ProductSSet, nondeg, standard_simplex
 from helpers import (assert_dd_zero, assert_reduction_axioms,
-                     equipment_samples, random_cochain_raw,
-                     random_cocycle_raw)
+                     check_twist_axioms, coboundary, equipment_samples, ev,
+                     map_to_cochain, random_cochain_raw, random_cocycle_raw)
 
 
 def test_face_degeneracy_examples():
@@ -188,7 +188,6 @@ def test_cochain_to_map_cocycle_lands_in_K():
     g = cyclic(2)
     # the coboundary of a 0-cochain is a cocycle
     c0 = Cochain(g, 0, lambda cell: (cell.base[0] % 2,))
-    from effhom.chains import coboundary
     C = normalized_chains(X)
     kappa = coboundary(c0, C)
     K = EMSpace(g, 1)
@@ -283,7 +282,7 @@ def test_kz1_equivalence_contract():
     for y in (Chain.single(vertex, 0, 2), Chain.single(one, 1, 4)):
         assert (red.f(red.g(y)) - y).is_zero()
         assert red.h(red.g(y)).is_zero()
-    groups = [equipped_homology(E, k).group for k in range(4)]
+    groups = homology_groups(E.effective, 3)
     assert groups == [Z, Z, ZERO_GROUP, ZERO_GROUP]
 
 
@@ -347,7 +346,7 @@ def test_kzm1_field_is_an_admissible_involution(m):
 def test_cyclic_em1_homology():
     for m in (2, 3, 4, 12):
         E = em1_equivalence(cyclic(m))
-        groups = [equipped_homology(E, k).group for k in range(7)]
+        groups = homology_groups(E.effective, 6)
         assert groups == [Z] + [cyclic(m), ZERO_GROUP] * 3
         assert [len(E.effective.basis(k)) for k in range(7)] == [1] * 7
 
@@ -356,7 +355,7 @@ def test_mixed_group_em1():
     pi = AbGroup((0, 2))
     E = em_equivalence(pi, 1)
     assert E.obj.group is pi
-    h1 = equipped_homology(E, 1).group
+    h1 = complex_homology(E.effective, 1).group
     assert primary_invariants(h1) == (1, (2,))
 
 
@@ -366,22 +365,23 @@ KZ2_2_TABLE = [(1, ()), (0, ()), (0, (2,)), (0, ()), (0, (4,)), (0, (2,))]
 
 def test_em2_homology_tables():
     E = em_equivalence(Z, 2)
-    groups = [equipped_homology(E, k).group for k in range(7)]
+    groups = homology_groups(E.effective, 6)
     assert groups == [Z, ZERO_GROUP, Z, ZERO_GROUP, Z, ZERO_GROUP, Z]
     E2 = em_equivalence(cyclic(2), 2)
     for k, inv in enumerate(KZ2_2_TABLE):
-        assert primary_invariants(equipped_homology(E2, k).group) == inv
+        assert primary_invariants(
+            complex_homology(E2.effective, k).group) == inv
 
 
 def test_ev_induces_isomorphism_on_top_homology():
     for pi in (Z, cyclic(2), cyclic(6)):
         for n in (1, 2):
             E = em_equivalence(pi, n)
-            H = equipped_homology(E, n)
+            H = complex_homology(E.effective, n)
             assert primary_invariants(H.group) == primary_invariants(pi)
             # H_n is cyclic here; ev of a generating cycle generates pi
             gen = tuple(1 if i == 0 else 0 for i in range(H.group.ngens))
-            rep = H.rep_of(gen)
+            rep = E.pull(H.rep_of(gen))
             assert E.chains.diff(rep).is_zero()
             v = ev(E.obj, rep)
             if pi.rank:
@@ -431,7 +431,7 @@ def test_split_equipment(pi, n):
 def test_split_and_merge_are_inverse_simplicial_maps(pi, n):
     K = em_equivalence(pi, n).obj
     X, Y = (F.obj for F in factor_equipments(pi, n))
-    P = product(X, Y)
+    P = ProductSSet(X, Y)
     split, merge = split_maps(K, P)
     rng = random.Random(n)
     for m in range(n, n + 4):
@@ -450,9 +450,9 @@ def test_split_and_merge_are_inverse_simplicial_maps(pi, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ev_induces_isomorphism_on_h_n_of_z_plus_z(n):
     E = em_equivalence(AbGroup((0, 0)), n)
-    H = equipped_homology(E, n)
+    H = complex_homology(E.effective, n)
     assert H.group == AbGroup((0, 0))
-    reps = [H.rep_of(gen) for gen in ((1, 0), (0, 1))]
+    reps = [E.pull(H.rep_of(gen)) for gen in ((1, 0), (0, 1))]
     assert all(E.chains.diff(rep).is_zero() for rep in reps)
     (p, q), (r, s) = (ev(E.obj, rep) for rep in reps)
     assert abs(p * s - q * r) == 1
@@ -477,5 +477,5 @@ def test_split_em2_homology_is_kunneth_of_the_tables():
     kz2 = [(1, ()), (0, ())] * 3                  # Z, 0, Z, 0, Z, 0
     E = em_equivalence(AbGroup((0, 2)), 2)
     for k in range(6):
-        assert primary_invariants(equipped_homology(E, k).group) == \
+        assert primary_invariants(complex_homology(E.effective, k).group) == \
             kunneth(kz2, KZ2_2_TABLE, k)

@@ -15,8 +15,8 @@ from effhom.postnikov import (build_tower, evaluate_k_invariant, evaluate_phi,
                               homotopy_group, point_space, verify_tower)
 from effhom.reduction import (collapse_equipment, cone_equipment,
                               trivial_equipment)
-from effhom.simplicial import (FinSSet, Simplex, from_facets, nondeg, product,
-                               sphere)
+from effhom.simplicial import (FinSSet, ProductSSet, Simplex, from_facets,
+                               nondeg, sphere)
 from effhom.smith import smith_normal_form
 from helpers import (RP2_FACETS, assert_reduction_axioms, equipment_samples,
                      random_cocycle_raw, stacked_sphere, tower_fingerprint,
@@ -325,7 +325,8 @@ def test_zero_face_twist_is_the_difference_of_differentials(own_caches, X, k):
     for i in range(1, k + 1):
         TP = T.stage(i).P_i.obj
         # fresh complexes: the stage's own chains keep no differential
-        CTP, CP = normalized_chains(TP), normalized_chains(product(TP.X, TP.Y))
+        CTP = normalized_chains(TP)
+        CP = normalized_chains(ProductSSet(TP.X, TP.Y))
         delta = _zero_face_twist(TP, CP)
         oracle = zero_face_twist_oracle(CTP, CP)
         rng = random.Random(i)

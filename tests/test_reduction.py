@@ -3,19 +3,20 @@ import random
 import pytest
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP
-from effhom.chains import (CCx, Chain, ChainMap, TensorCell, homology_groups,
-                           normalized_chains, tensor, z_complex)
+from effhom.chains import (CCx, Chain, ChainMap, TensorCCx, TensorCell,
+                           complex_homology, homology_groups,
+                           normalized_chains, z_complex)
 from effhom.reduction import (Equipped, StrongEq,
                               basic_perturbation, compose_reductions,
                               cone_equipment, easy_perturbation,
-                              equipped_homology, identity_reduction,
-                              iso_as_reduction, morse_reduction,
+                              identity_reduction, iso_as_reduction,
+                              morse_reduction,
                               perturb_strong_equivalence, perturbed_complex,
                               random_chain, reduction_as_equivalence,
                               trivial_equipment, trivial_equivalence,
                               zero_map)
 from effhom.simplicial import sphere, standard_simplex
-from helpers import assert_dd_zero, assert_reduction_axioms
+from helpers import assert_dd_zero, assert_reduction_axioms, vertex_map
 
 
 def cone_field(X, apex=0):
@@ -229,8 +230,8 @@ def test_perturb_strong_equivalence():
 
 def test_iso_as_reduction_swap_factors():
     C = normalized_chains(sphere(1))
-    T = tensor([C, C])
-    T2 = tensor([C, C])
+    T = TensorCCx([C, C])
+    T2 = TensorCCx([C, C])
 
     def swap(sign_from):
         def on_cell(cell):
@@ -253,19 +254,19 @@ def test_iso_as_reduction_swap_factors():
 def test_equipped_homology_trivial_and_morse():
     C = normalized_chains(sphere(2))
     E = trivial_equipment(sphere(2), C)
-    eh = equipped_homology(E, 2)
-    assert eh.group == Z
-    rep = eh.rep_of((1,))
+    H = complex_homology(E.effective, 2)
+    assert H.group == Z
+    rep = E.pull(H.rep_of((1,)))
     assert C.diff(rep).is_zero()
-    assert eh.class_of(rep) == (1,)
+    assert H.class_of(E.push(rep)) == (1,)
 
     red = sphere_morse_reduction(2)
     E2 = Equipped(sphere(2), red.source, reduction_as_equivalence(red))
-    eh2 = equipped_homology(E2, 2)
-    assert eh2.group == Z
-    rep2 = eh2.rep_of((1,))
+    H2 = complex_homology(E2.effective, 2)
+    assert H2.group == Z
+    rep2 = E2.pull(H2.rep_of((1,)))
     assert red.source.diff(rep2).is_zero()
-    assert eh2.class_of(rep2) == (1,)
+    assert H2.class_of(E2.push(rep2)) == (1,)
 
 
 def test_perturbed_complex_shares_basis():
@@ -292,7 +293,6 @@ def test_cone_equipment_multiplication_map():
 
 def test_cone_equipment_nontrivial_legs():
     from effhom.chains import induced_chain_map
-    from effhom.simplicial import vertex_map
     X = sphere(2)
     red = sphere_morse_reduction(2)
     CX = red.source
@@ -335,9 +335,9 @@ def test_cone_equipment_nontrivial_legs_on_both_sides():
     # the cone of multiplication by 2 on S^2: coker in H_0 and H_2
     assert homology_groups(E.effective, 3) == [AbGroup((2,)), ZERO_GROUP,
                                                AbGroup((2,)), ZERO_GROUP]
-    H = equipped_homology(E, 2)
-    rep = H.rep_of((1,))
-    assert E.chains.diff(rep).is_zero() and H.class_of(rep) == (1,)
+    H = complex_homology(E.effective, 2)
+    rep = E.pull(H.rep_of((1,)))
+    assert E.chains.diff(rep).is_zero() and H.class_of(E.push(rep)) == (1,)
 
 
 def test_equipped_refuses_a_reduction_off_the_roof():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from effhom.simplicial import (Simplex, from_facets, identity_map, nondeg,
-                               product, sphere, standard_simplex, vertex_map)
-from helpers import rp2, torus_complex
+from effhom.simplicial import (ProductSSet, Simplex, from_facets, identity_map,
+                               nondeg, sphere, standard_simplex)
+from helpers import rp2, torus_complex, vertex_map
 
 
 def random_simplices(X, dims, rng, count=40, max_degs=3):
@@ -112,7 +112,7 @@ def test_identity_map():
 
 def test_product_cells_count():
     I = standard_simplex(1)
-    P = product(I, I)
+    P = ProductSSet(I, I)
     # nondegenerate cells of the square: 4 vertices, 5 edges, 2 triangles
     assert len(P.cells(0)) == 4
     assert len(P.cells(1)) == 5
@@ -122,7 +122,7 @@ def test_product_cells_count():
 
 def test_product_pair_canonicalization():
     I = standard_simplex(1)
-    P = product(I, I)
+    P = ProductSSet(I, I)
     e = nondeg((0, 1), 1)
     a = I.degeneracy(0, e)            # s0 e, dim 2
     s = P.pair(a, a)                  # shared stall -> degenerate pair
@@ -134,7 +134,7 @@ def test_product_pair_canonicalization():
 
 def test_product_simplicial_identities():
     rng = random.Random(11)
-    P = product(sphere(1), standard_simplex(1))
+    P = ProductSSet(sphere(1), standard_simplex(1))
     pool = [P.simplex(c) for d in range(3) for c in P.cells(d)]
     for s in rng.sample(pool, min(12, len(pool))):
         n = s.dim
@@ -153,6 +153,6 @@ def test_product_simplicial_identities():
 def test_product_euler_characteristic():
     # chi(S1 x S1) = 0 through nondegenerate cell counts
     S1 = sphere(1)
-    P = product(S1, S1)
+    P = ProductSSet(S1, S1)
     chi = sum((-1) ** d * len(P.cells(d)) for d in range(4))
     assert chi == 0
