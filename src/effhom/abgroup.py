@@ -30,6 +30,7 @@ class AbGroup:
                 seen_torsion = True
             else:
                 raise ValueError(f"invalid modulus {m}")
+        object.__setattr__(self, "_free", not seen_torsion)
 
     @property
     def rank(self) -> int:
@@ -55,6 +56,8 @@ class AbGroup:
         x = tuple(x)
         if len(x) != len(self.mm):
             raise ValueError("coefficient tuple has wrong length")
+        if self._free:
+            return x
         return tuple(c if m == 0 else c % m for c, m in zip(x, self.mm))
 
     def add(self, x, y) -> tuple:

@@ -39,6 +39,10 @@ class EMSpace(RawSSet):
     when no label sits on a tuple holding both i and i+1, and every label
     on a tuple holding one of them equals the label on the tuple with i
     and i+1 swapped.  `raw_is_degenerate_at` tests this on the labels.
+
+    Every raw taken and returned is canonical, as `make_raw` makes it:
+    sorted labels with reduced nonzero values.  `raw_degeneracy` lifts
+    distinct tuples to distinct tuples, so it only re-sorts.
     """
 
     def __init__(self, group: AbGroup, n: int, kind: str = "K"):
@@ -90,7 +94,7 @@ class EMSpace(RawSSet):
                 out.append((shifted[:k] + (i + 1,) + shifted[k + 1:], v))
             else:
                 out.append((shifted, v))
-        return self.make_raw(m + 1, out)
+        return (m + 1, tuple(sorted(out)))
 
     def raw_is_degenerate_at(self, i, raw):
         j = i + 1
@@ -170,7 +174,7 @@ def twisting_operator(Kn: EMSpace, Kn1: EMSpace):
     """The twist of the path fibration K(pi,n) -> E(pi,n) -> K(pi,n+1).
 
     Sends an l-simplex of K(pi,n+1) to the (l-1)-simplex `twisting_tau`
-    of K(pi,n).  Postnikov stages pull it back along their k-invariants.
+    of K(pi,n).  Postnikov stages pull it back along nonzero k-invariants.
     """
 
     def tau(s: Simplex) -> Simplex:

@@ -4,7 +4,8 @@ The stage loop: cone the chain map of phi_{i-1}: Y -> P_{i-1}, read
 pi_i = H_{i+1} off the effective cone, split the degree-(i+1) chain group
 into kernel + complement to get the classifying cocycle rho, restrict it
 to the two cone summands (kappa on P_{i-1}, lambda on Y), and glue the
-next stage as the pullback of the path-loop fibration along kappa.
+next stage as the pullback of the path-loop fibration along kappa, or the
+plain product when kappa vanishes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .chains import (Chain, Cochain, Tag, complex_homology,
                      induced_chain_map, normalized_chains)
 from .em import (EMSpace, cochain_to_map, delta_map, pseudo_section_psi,
                  em_equivalence)
+from .ez import product_equivalence
 from .reduction import Equipped, cone_equipment, trivial_equipment
 from .simplicial import SMap, Simplex, from_facets, nondeg
 
@@ -30,7 +32,7 @@ class StageData:
     pi_i: AbGroup
     kappa_ef: dict                # effective (i+1)-cells of P_{i-1} -> pi_i
     lambda_ef: dict               # effective i-cells of Y -> pi_i
-    P_i: Equipped                 # the stage, a twisted product over P_{i-1}
+    P_i: Equipped                 # the stage, a (twisted) product over P_{i-1}
     phi_i: SMap                   # Y -> P_i
     k_invariant: SMap             # P_{i-1} -> K(pi_i, i+1)
     # internals used by the evaluators and the verifier
@@ -57,16 +59,10 @@ def point_space():
     return from_facets([(0,)])
 
 
-def _constant_map(X, P0) -> SMap:
-    vertex = nondeg(P0.cells(0)[0], 0)
-
-    def on_base(base):
-        s = vertex
-        for _ in range(X.dim_of(base)):
-            s = P0.degeneracy(0, s)
-        return s
-
-    return SMap(X, P0, on_base)
+def _constant_map(X, T, vertex: Simplex) -> SMap:
+    """X -> T, every m-simplex to the totally degenerate m-simplex on vertex."""
+    return SMap(X, T, lambda base: T.apply_degeneracies(vertex,
+                                                         range(X.dim_of(base))))
 
 
 def _build_stage(tower: PostnikovTower, i: int,
@@ -97,11 +93,18 @@ def _build_stage(tower: PostnikovTower, i: int,
 
     Kup = EMSpace(pi, i + 1)
     E = EMSpace(pi, i, "E")
-    k_invariant = cochain_to_map(kappa_full, P_prev.obj, Kup)
     ell_map = cochain_to_map(lambda_full, Y.obj, E)
 
     fiber = em_equivalence(pi, i)
-    P_i = pullback_fibration(P_prev, k_invariant, fiber)
+    if any(not pi.is_zero(v) for v in kappa_ef.values()):
+        k_invariant = cochain_to_map(kappa_full, P_prev.obj, Kup)
+        P_i = pullback_fibration(P_prev, k_invariant, fiber)
+    else:
+        # kappa = kappa_ef o push is zero: push keeps a cell of P_{i-1} in
+        # the P_{i-1} summand and rho is linear, so the pullback along the
+        # constant k-invariant is the plain product
+        k_invariant = _constant_map(P_prev.obj, Kup, Kup.zero_simplex(0))
+        P_i = product_equivalence([fiber, P_prev])
     TP = P_i.obj
     Kn = fiber.obj
 
@@ -147,7 +150,9 @@ def build_tower(Y: Equipped, k: int, degree_cap=None) -> PostnikovTower:
                       "input; this is not checked beyond H_1", stacklevel=2)
         P0obj = point_space()
         P0 = trivial_equipment(P0obj, normalized_chains(P0obj, name="C(pt)"))
-        tower = PostnikovTower(Y, 0, [], P0, _constant_map(Y.obj, P0obj), cap)
+        vertex = nondeg(P0obj.cells(0)[0], 0)
+        tower = PostnikovTower(Y, 0, [], P0,
+                               _constant_map(Y.obj, P0obj, vertex), cap)
         _tower_cache[id(Y)] = (Y, tower)
     else:
         tower = cached[1]

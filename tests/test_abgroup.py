@@ -32,6 +32,28 @@ def test_arithmetic_reduces_mod_torsion():
         g.reduce((1,))
 
 
+def generic_reduce(g, x):
+    """The reduction formula with no fast path: each torsion entry mod m."""
+    if len(x) != len(g.mm):
+        raise ValueError("coefficient tuple has wrong length")
+    return tuple(c if m == 0 else c % m for c, m in zip(x, g.mm))
+
+
+@pytest.mark.parametrize("g", [ZERO_GROUP, Z, AbGroup((0, 0, 0)),
+                               AbGroup((0, 3)), cyclic(12)],
+                         ids=["0", "Z", "Z3", "Z+Z/3", "Z/12"])
+def test_reduce_matches_the_generic_formula(g):
+    xs = [tuple(v) for v in [(), (0,), (-7,), (5, -4), (13, -1, 0), (-2, 9, 4)]
+          if len(v) == g.ngens]
+    assert xs
+    for x in xs:
+        assert g.reduce(x) == generic_reduce(g, x)
+        assert g.reduce(iter(x)) == generic_reduce(g, x)
+    for n in {g.ngens + 1, abs(g.ngens - 1)} - {g.ngens}:
+        with pytest.raises(ValueError, match="wrong length"):
+            g.reduce((1,) * n)
+
+
 def test_render():
     assert ZERO_GROUP.render() == "0"
     assert Z.render() == "Z"

@@ -47,6 +47,38 @@ def test_simplicial_identities_on_raws():
                 assert space.raw_face(i + 1, space.raw_degeneracy(i, z)) == z
 
 
+def degeneracy_oracle(space, i, raw):
+    """s_i by its definition: the pullback along the codegeneracy that merges
+    the vertices i and i+1, label by label over every tuple of Delta^(m+1),
+    rebuilt with `make_raw`."""
+    m = raw[0]
+    items = []
+    for u in itertools.combinations(range(m + 2), space.n + 1):
+        t = tuple(j if j <= i else j - 1 for j in u)
+        if len(set(t)) == len(t):
+            items.append((u, space.label(raw, t)))
+    return space.make_raw(m + 1, items)
+
+
+@pytest.mark.parametrize("space", [EMSpace(Z, 2), EMSpace(cyclic(2), 3),
+                                   EMSpace(cyclic(12), 2), EMSpace(Z, 2, "E")],
+                         ids=["K(Z,2)", "K(Z/2,3)", "K(Z/12,2)", "E(Z,2)"])
+def test_raw_degeneracy_matches_the_general_formula(space):
+    rng = random.Random(space.name)
+    make = random_cochain_raw if space.kind == "E" else random_cocycle_raw
+    raws = []
+    for m in range(space.n, space.n + 4):
+        for density in (0.2, 0.5, 0.9):
+            raws.append(make(space, m, rng, density))
+    # degenerate raws are canonical too
+    raws += [space.raw_degeneracy(rng.randrange(r[0] + 1), r) for r in raws[:6]]
+    assert sum(1 for r in raws if r[1]) > 10
+    for raw in raws:
+        for i in range(raw[0] + 1):
+            assert space.raw_degeneracy(i, raw) == \
+                degeneracy_oracle(space, i, raw), (raw, i)
+
+
 def test_canon_consistency():
     rng = random.Random(5)
     K = EMSpace(cyclic(2), 1)

@@ -6,7 +6,8 @@ import pytest
 import sympy
 
 from effhom.abgroup import AbGroup, Z, ZERO_GROUP, cyclic
-from effhom.bar import _zero_face_twist
+from effhom.bar import (TwistedProductSSet, _zero_face_twist,
+                        pullback_fibration)
 from effhom.chains import (Chain, complex_homology, diff_matrix,
                            homology_groups, induced_chain_map,
                            normalized_chains)
@@ -298,6 +299,52 @@ def stage_cell(T, i, m, fibre_simplex):
         P = T.stage(j).P_i.obj
         s = P.pair(fibre_simplex(j, P.X), s)
     return s
+
+
+@pytest.mark.parametrize("X, k, plain", [(sphere(2), 4, {1, 2}),
+                                         (minimal_sphere(3), 5, {1, 2, 3}),
+                                         (sphere_wedge(3), 3, {1, 2})],
+                         ids=["S2", "S3", "wedge3"])
+def test_untwisted_stage_is_the_zero_twist_pullback(own_caches, X, k, plain):
+    """A stage whose kappa vanishes is the plain product K(pi_i,i) x P_{i-1}
+    and every later stage is twisted.  The plain stage agrees with the
+    pullback of the path fibration along its k-invariant, built here as the
+    oracle: same effective complex up to the degree cap, same push on seeded
+    cells, and the k-invariant is the zero simplex on seeded simplices."""
+    T = build_tower(equip(X, "C(Y)"), k)
+    assert {st.i for st in T.stages
+            if not isinstance(st.P_i.obj, TwistedProductSSet)} == plain
+    assert all(isinstance(st.P_i.obj, ProductSSet) for st in T.stages)
+    rng = random.Random(k)
+
+    def seeded(i, m):
+        if i == 0:
+            pt = T.P0.obj
+            return pt.apply_degeneracies(pt.simplex(pt.cells(0)[0]), range(m))
+        return stage_cell(T, i, m, lambda j, K: K.canon(random_cocycle_raw(
+            K, m, rng, rng.choice((0.3, 0.6)))))
+
+    pushed = 0
+    for i in sorted(plain):
+        st = T.stage(i)
+        P_prev = T.stage(i - 1).P_i if i > 1 else T.P0
+        oracle = pullback_fibration(P_prev, st.k_invariant, st.fiber)
+        for d in range(T.degree_cap + 1):
+            basis = st.P_i.effective.basis(d)
+            assert basis == oracle.effective.basis(d), (i, d)
+            for c in basis:
+                assert st.P_i.effective.diff_cell(c) == \
+                    oracle.effective.diff_cell(c), (i, c)
+        for m in range(1, i + 3):
+            for _ in range(3):
+                s = seeded(i, m)
+                if not s.is_degenerate():
+                    z = Chain.single(s, m)
+                    assert st.P_i.push(z) == oracle.push(z), (i, s)
+                    pushed += 1
+                p = seeded(i - 1, m)
+                assert st.k_invariant(p) == st.K_space.zero_simplex(m)
+    assert pushed
 
 
 def cone_over_degenerate(K, m, rng):
